@@ -46,7 +46,6 @@ from .lebesgue import (
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
-    hermitian_eig,
     is_psd,
     kernel_basis,
     operator_norm,
@@ -96,7 +95,6 @@ __all__ = [
     "decompose",
     "decompose_nonneg",
     "decompose_via_forms",
-    "hermitian_eig",
     "induced_form",
     "is_absolutely_continuous",
     "is_ac_measure",

@@ -13,6 +13,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -46,19 +47,23 @@ from .selftest import run_selftest
 ENV_TOL = "FORMLEB_TOL"
 
 KINDS = ("decompose", "decompose-nonneg", "classify", "check", "dominate", "measure")
-CHECK_KINDS = (
-    "membership",
-    "regular",
-    "strongly-singular",
-    "mixed",
-    "ac",
-    "singular-nonneg",
-    "singular-sufficient",
-    "omega-bounded",
-)
 MATRIX_KEYS = ("t", "omega", "sigma", "alpha", "beta")
 MEASURE_KEYS = ("mu", "nu")
 TOL_KEYS = ("rank_rel", "psd_abs", "cmp_abs")
+
+# check kind -> (function, matrices passed to it in order); "t" is passed as
+# a SesquilinearForm, every other matrix as a NonNegativeForm
+CHECKS = {
+    "membership": (is_dominating, ("sigma", "t")),
+    "regular": (is_regular, ("t", "omega")),
+    "strongly-singular": (is_strongly_singular, ("t", "omega", "sigma")),
+    "mixed": (is_mixed_certificate, ("t", "omega", "alpha", "beta")),
+    "ac": (is_absolutely_continuous, ("sigma", "omega")),
+    "singular-nonneg": (is_singular_nonneg, ("sigma", "omega")),
+    "singular-sufficient": (singularity_sufficient, ("t", "omega")),
+    "omega-bounded": (is_bounded_by, ("t", "omega")),
+}
+CHECK_KINDS = tuple(CHECKS)
 
 # matrices each kind requires (sigma is optional for plain decompose)
 REQUIRED = {
@@ -66,14 +71,7 @@ REQUIRED = {
     "decompose-nonneg": ("sigma", "omega"),
     "classify": ("t",),
     "dominate": ("t",),
-    "check/membership": ("sigma", "t"),
-    "check/regular": ("t", "omega"),
-    "check/strongly-singular": ("t", "omega", "sigma"),
-    "check/mixed": ("t", "omega", "alpha", "beta"),
-    "check/ac": ("sigma", "omega"),
-    "check/singular-nonneg": ("sigma", "omega"),
-    "check/singular-sufficient": ("t", "omega"),
-    "check/omega-bounded": ("t", "omega"),
+    **{f"check/{kind}": keys for kind, (_, keys) in CHECKS.items()},
 }
 
 
@@ -119,7 +117,13 @@ class ResultOutput:
 def _number(value: Any, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError("SCHEMA_VIOLATION", path, "expected a number")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ParseError("SCHEMA_VIOLATION", path, "expected a finite number")
+    return number
 
 
 def _complex_pair(value: Any, path: str) -> complex:
@@ -292,10 +296,22 @@ def _encode_measure(values: np.ndarray) -> list:
 
 
 def _nonneg(problem: ProblemInput, key: str) -> NonNegativeForm:
+    """The matrix as a NonNegativeForm, PSD at the problem's tolerance.
+
+    That check comes first: its message wins when the form's own check at
+    DEFAULT_TOL fails as well.
+    """
     M = problem.matrices[key]
-    if not is_psd(M, problem.tol):
-        raise NotPSD(f"matrix {key!r} must be positive semidefinite")
-    return NonNegativeForm(M)
+    message = f"matrix {key!r} must be positive semidefinite"
+    try:
+        form = NonNegativeForm(M)
+    except NotPSD:
+        if not is_psd(M, problem.tol):
+            raise NotPSD(message) from None
+        raise
+    if not form.psd_at(problem.tol):
+        raise NotPSD(message)
+    return form
 
 
 def _tol_diag(tol: Tolerance) -> dict:
@@ -363,63 +379,16 @@ def _run_classify(problem: ProblemInput) -> tuple[dict, dict]:
 
 
 def _run_check(problem: ProblemInput) -> tuple[dict, dict]:
-    tol = problem.tol
-    kind = problem.check
-    results: dict[str, Any]
-    if kind == "membership":
-        flag = is_dominating(
-            _nonneg(problem, "sigma"), SesquilinearForm(problem.matrices["t"]), tol
-        )
-        results = {"result": flag}
-    elif kind == "regular":
-        results = {
-            "result": is_regular(
-                SesquilinearForm(problem.matrices["t"]), _nonneg(problem, "omega"), tol
-            )
-        }
-    elif kind == "strongly-singular":
-        results = {
-            "result": is_strongly_singular(
-                SesquilinearForm(problem.matrices["t"]),
-                _nonneg(problem, "omega"),
-                _nonneg(problem, "sigma"),
-                tol,
-            )
-        }
-    elif kind == "mixed":
-        results = {
-            "result": is_mixed_certificate(
-                SesquilinearForm(problem.matrices["t"]),
-                _nonneg(problem, "omega"),
-                _nonneg(problem, "alpha"),
-                _nonneg(problem, "beta"),
-                tol,
-            )
-        }
-    elif kind == "ac":
-        results = {
-            "result": is_absolutely_continuous(
-                _nonneg(problem, "sigma"), _nonneg(problem, "omega"), tol
-            )
-        }
-    elif kind == "singular-nonneg":
-        results = {
-            "result": is_singular_nonneg(
-                _nonneg(problem, "sigma"), _nonneg(problem, "omega"), tol
-            )
-        }
-    elif kind == "singular-sufficient":
-        results = {
-            "result": singularity_sufficient(
-                SesquilinearForm(problem.matrices["t"]), _nonneg(problem, "omega"), tol
-            )
-        }
-    else:  # omega-bounded
-        flag, constant = is_bounded_by(
-            SesquilinearForm(problem.matrices["t"]), _nonneg(problem, "omega"), tol
-        )
-        results = {"result": flag, "constant": constant}
-    return results, {"check": kind}
+    check, keys = CHECKS[problem.check]
+    args = [
+        SesquilinearForm(problem.matrices[key]) if key == "t" else _nonneg(problem, key)
+        for key in keys
+    ]
+    outcome = check(*args, problem.tol)
+    if problem.check == "omega-bounded":
+        flag, constant = outcome
+        return {"result": flag, "constant": constant}, {"check": problem.check}
+    return {"result": outcome}, {"check": problem.check}
 
 
 def _run_dominate(problem: ProblemInput) -> tuple[dict, dict]:
@@ -509,7 +478,6 @@ def _format_number(x: float) -> str:
 def _serialize(obj: Any, indent: int | None, level: int) -> str:
     pad = "" if indent is None else "\n" + " " * (indent * (level + 1))
     endpad = "" if indent is None else "\n" + " " * (indent * level)
-    sep = "," if indent is None else ","
     if obj is None:
         return "null"
     if isinstance(obj, bool):
@@ -523,13 +491,13 @@ def _serialize(obj: Any, indent: int | None, level: int) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        inner = (sep + pad).join(_serialize(v, indent, level + 1) for v in obj)
+        inner = ("," + pad).join(_serialize(v, indent, level + 1) for v in obj)
         return f"[{pad}{inner}{endpad}]"
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         colon = ":" if indent is None else ": "
-        inner = (sep + pad).join(
+        inner = ("," + pad).join(
             f"{json.dumps(str(k), ensure_ascii=False)}{colon}"
             f"{_serialize(v, indent, level + 1)}"
             for k, v in sorted(obj.items())

@@ -9,7 +9,7 @@ classification and boundedness relative to a reference form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -87,12 +87,32 @@ class SesquilinearForm:
 
 @dataclass(frozen=True)
 class NonNegativeForm(SesquilinearForm):
-    """Sesquilinear form with t[phi] >= 0 for every phi (PSD matrix)."""
+    """Sesquilinear form with t[phi] >= 0 for every phi (PSD matrix).
+
+    The constructor validates the matrix once and keeps what it computed:
+    `asymmetry` is max |A - A*| and `spectrum` the ascending eigenvalues of
+    the symmetrized matrix, so `psd_at` answers for any tolerance without
+    factoring again.
+    """
+
+    asymmetry: float = field(init=False, repr=False, compare=False)
+    spectrum: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         super().__post_init__()
-        if not is_psd(self.matrix, DEFAULT_TOL):
+        object.__setattr__(self, "asymmetry", max_asymmetry(self.matrix))
+        if self.asymmetry <= DEFAULT_TOL.cmp_abs:
+            lam = np.linalg.eigvalsh(hermitize(self.matrix))
+            lam.flags.writeable = False
+            object.__setattr__(self, "spectrum", lam)
+        if not self.psd_at(DEFAULT_TOL):
             raise NotPSD("matrix of a non-negative form must be positive semidefinite")
+
+    def psd_at(self, tol: Tolerance) -> bool:
+        """Exactly ``is_psd(self.matrix, tol)``, from the constructor's spectrum."""
+        if self.asymmetry > tol.cmp_abs:
+            return False
+        return bool(self.spectrum[0] >= -tol.psd_abs)
 
 
 @dataclass(frozen=True)
@@ -135,6 +155,24 @@ def _check_same_dim(a: SesquilinearForm, b: SesquilinearForm) -> None:
         raise DimensionMismatch(f"dimension mismatch: {a.dim} vs {b.dim}")
 
 
+def _compressed_norm(
+    ref: NonNegativeForm, A: np.ndarray, tol: Tolerance, not_psd: str
+) -> float | None:
+    """Norm of A compressed by the pseudo-inverse square root of ref's matrix.
+
+    None when ker(ref) fails to annihilate A or A*, i.e. when no multiple of
+    ref dominates A. Raises NotPSD(not_psd) when ref is not PSD at `tol`.
+    """
+    if not ref.psd_at(tol):
+        raise NotPSD(not_psd)
+    W = ref.matrix
+    K = kernel_basis(W, tol)
+    if not (annihilates(A, K, tol) and annihilates(A.conj().T, K, tol)):
+        return None
+    Wph = pinv_sqrt(W, tol)
+    return operator_norm(Wph @ A @ Wph)
+
+
 def is_dominating(
     sigma: NonNegativeForm, form: SesquilinearForm, tol: Tolerance = DEFAULT_TOL
 ) -> bool:
@@ -145,14 +183,8 @@ def is_dominating(
     S has operator norm at most 1.
     """
     _check_same_dim(sigma, form)
-    S, A = sigma.matrix, form.matrix
-    if not is_psd(S, tol):
-        raise NotPSD("dominating candidate must be PSD")
-    K = kernel_basis(S, tol)
-    if not (annihilates(A, K, tol) and annihilates(A.conj().T, K, tol)):
-        return False
-    Sph = pinv_sqrt(S, tol)
-    return operator_norm(Sph @ A @ Sph) <= 1.0 + tol.psd_abs
+    norm = _compressed_norm(sigma, form.matrix, tol, "dominating candidate must be PSD")
+    return norm is not None and norm <= 1.0 + tol.psd_abs
 
 
 def construct_dominating(
@@ -178,16 +210,18 @@ def construct_dominating(
 
 
 def _smallest_sector_constant(
-    re: np.ndarray, im: np.ndarray, tol: Tolerance
+    re: np.ndarray, im: np.ndarray, lam: np.ndarray, tol: Tolerance
 ) -> tuple[bool, float | None]:
-    """Smallest c >= 0 with c*Re - Im and c*Re + Im both PSD, if any exists."""
+    """Smallest c >= 0 with c*Re - Im and c*Re + Im both PSD, if any exists.
+
+    lam holds the ascending eigenvalues of re.
+    """
 
     def feasible(c: float) -> bool:
         return is_psd(c * re - im, tol) and is_psd(c * re + im, tol)
 
     if feasible(0.0):
         return True, 0.0
-    lam = np.linalg.eigvalsh(re)
     positive = lam[lam > tol.rank_rel * max(float(lam[-1]), 0.0)]
     if positive.size == 0:
         return False, None
@@ -214,12 +248,17 @@ def classify_range(form: SesquilinearForm, tol: Tolerance = DEFAULT_TOL) -> Rang
     A = form.matrix
     re = hermitize(A)
     im = (A - A.conj().T) / 2j
-    nonneg = is_psd(A, tol)
+    lam = np.linalg.eigvalsh(re)
     real = max_asymmetry(A) <= tol.cmp_abs
-    halfplane = is_psd(re, tol)
+    nonneg = real and bool(lam[0] >= -tol.psd_abs)
+    # hermitize(re) equals re up to the sign of zero entries; where a sign
+    # differs, eigvalsh may differ in the last bit, so it is factored anew
+    sym = hermitize(re)
+    lam_sym = lam if sym.tobytes() == re.tobytes() else np.linalg.eigvalsh(sym)
+    halfplane = bool(lam_sym[0] >= -tol.psd_abs)
     quadrant = halfplane and is_psd(im, tol)
     if halfplane:
-        sector, constant = _smallest_sector_constant(re, im, tol)
+        sector, constant = _smallest_sector_constant(re, im, lam, tol)
     else:
         sector, constant = False, None
     return RangeClass(
@@ -242,11 +281,5 @@ def is_bounded_by(
     the form's matrix and its adjoint.
     """
     _check_same_dim(form, ref)
-    A, W = form.matrix, ref.matrix
-    if not is_psd(W, tol):
-        raise NotPSD("reference form must be PSD")
-    K = kernel_basis(W, tol)
-    if not (annihilates(A, K, tol) and annihilates(A.conj().T, K, tol)):
-        return False, None
-    Wph = pinv_sqrt(W, tol)
-    return True, operator_norm(Wph @ A @ Wph)
+    norm = _compressed_norm(ref, form.matrix, tol, "reference form must be PSD")
+    return (False, None) if norm is None else (True, norm)

@@ -31,7 +31,6 @@ from .linalg import (
     Tolerance,
     annihilates,
     hermitize,
-    is_psd,
     kernel_basis,
     operator_norm,
     psd_rank,
@@ -138,9 +137,8 @@ def build_context(
         raise DimensionMismatch(
             f"dimension mismatch: {dominating.dim} vs {ref.dim}"
         )
-    S, W = dominating.matrix, ref.matrix
-    for name, M in (("dominating form", S), ("reference form", W)):
-        if not is_psd(M, tol):
+    for name, nonneg in (("dominating form", dominating), ("reference form", ref)):
+        if not nonneg.psd_at(tol):
             raise NotPSD(f"{name} must be PSD")
     if form is not None:
         if form.dim != ref.dim:
@@ -148,6 +146,7 @@ def build_context(
         if not is_dominating(dominating, form, tol):
             raise NotDominating("the supplied form is not dominated by `dominating`")
 
+    S, W = dominating.matrix, ref.matrix
     G = hermitize(S + W)
     lam, V = np.linalg.eigh(G)
     lam = np.clip(lam, 0.0, None)
@@ -248,12 +247,15 @@ def _min_eig(H: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(hermitize(H))[0])
 
 
-def _max_eig(H: np.ndarray) -> float:
-    return max(float(np.linalg.eigvalsh(hermitize(H))[-1]), 0.0)
+def _family_spectrum(
+    sigma: NonNegativeForm, ref: NonNegativeForm, tol: Tolerance
+) -> tuple[np.ndarray, float]:
+    """Eigenvalues of sigma + ref and the rank cutoff the family shares."""
+    lam = np.linalg.eigvalsh(hermitize(sigma.matrix + ref.matrix))
+    return lam, tol.rank_rel * max(float(lam[-1]), 0.0)
 
 
-def _rank_at(H: np.ndarray, cutoff: float) -> int:
-    lam = np.clip(np.linalg.eigvalsh(hermitize(H)), 0.0, None)
+def _rank_at(lam: np.ndarray, cutoff: float) -> int:
     return int(np.count_nonzero(lam > cutoff))
 
 
@@ -274,7 +276,7 @@ def ac_extremal_check(
     True by the decomposition theorem; False indicates a numerical fault, not a
     valid outcome.
     """
-    if not is_psd(u.matrix, tol):
+    if not u.psd_at(tol):
         raise NotPSD("u must be PSD")
     if u.dim != sigma.dim or u.dim != ref.dim:
         raise DimensionMismatch("u, sigma and ref must share a dimension")
@@ -300,7 +302,7 @@ def is_absolutely_continuous(
     split = decompose_nonneg(sigma, ref, tol)
     scale = operator_norm(sigma.matrix)
     via_split = _is_zero_matrix(split.singular.matrix, tol, scale)
-    family_cutoff = tol.rank_rel * _max_eig(sigma.matrix + ref.matrix)
+    _, family_cutoff = _family_spectrum(sigma, ref, tol)
     via_kernel = annihilates(
         sigma.matrix, _psd_kernel_at(ref.matrix, family_cutoff), tol
     )
@@ -324,11 +326,10 @@ def is_singular_nonneg(
     split = decompose_nonneg(sigma, ref, tol)
     scale = operator_norm(sigma.matrix)
     via_split = _is_zero_matrix(split.absolutely_continuous.matrix, tol, scale)
-    combined = sigma.matrix + ref.matrix
-    family_cutoff = tol.rank_rel * _max_eig(combined)
-    via_rank = _rank_at(combined, family_cutoff) == _rank_at(
-        sigma.matrix, family_cutoff
-    ) + _rank_at(ref.matrix, family_cutoff)
+    lam, family_cutoff = _family_spectrum(sigma, ref, tol)
+    via_rank = _rank_at(lam, family_cutoff) == _rank_at(
+        sigma.spectrum, family_cutoff
+    ) + _rank_at(ref.spectrum, family_cutoff)
     if via_split != via_rank:
         raise InconsistentRank(
             "singularity criteria disagree (split vs rank additivity); "
@@ -411,7 +412,7 @@ def singularity_sufficient(
     reference matrix spans its whole range: True implies the form is singular
     relative to the reference; False is inconclusive.
     """
-    if not is_psd(ref.matrix, tol):
+    if not ref.psd_at(tol):
         raise NotPSD("reference form must be PSD")
     ref_rank = psd_rank(ref.matrix, tol)
     if ref_rank == 0:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotHermitian, NotPSD
+from .errors import DimensionMismatch, NotPSD
 
 
 @dataclass(frozen=True)
@@ -56,21 +56,6 @@ def hermitize(A: np.ndarray) -> np.ndarray:
 
 def max_asymmetry(A: np.ndarray) -> float:
     return float(np.max(np.abs(A - A.conj().T)))
-
-
-def hermitian_eig(H, tol: Tolerance = DEFAULT_TOL):
-    """Spectral decomposition of a Hermitian matrix.
-
-    Returns (eigenvalues ascending, unitary eigenvector matrix). The input is
-    symmetrized before factoring; asymmetry beyond ``cmp_abs`` is an error.
-    """
-    A = as_complex_matrix(H, "H")
-    if max_asymmetry(A) > tol.cmp_abs:
-        raise NotHermitian(
-            f"matrix is not Hermitian: max |H - H*| = {max_asymmetry(A):.3e}"
-        )
-    lam, V = np.linalg.eigh(hermitize(A))
-    return lam, V
 
 
 def _psd_spectrum(H, tol: Tolerance, name: str):

@@ -163,9 +163,7 @@ def _property_checks(rng: np.random.Generator, n: int, tol: Tolerance):
         )
 
     def parts_psd():
-        return is_psd(split.absolutely_continuous.matrix, tol) and is_psd(
-            split.singular.matrix, tol
-        )
+        return split.absolutely_continuous.psd_at(tol) and split.singular.psd_at(tol)
 
     def split_parts_classified():
         return is_absolutely_continuous(

@@ -1,11 +1,14 @@
 """CLI: schema validation, dispatch, canonical output, exit codes."""
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
 from formleb.cli import (
+    CHECK_KINDS,
+    KINDS,
     ParseError,
     emit_output,
     main,
@@ -339,3 +342,164 @@ class TestMain:
         assert code == 0
         assert out.startswith(b"{\n")
         assert json.loads(out)["status"] == "ok"
+
+    @pytest.mark.parametrize(
+        "number",
+        ["NaN", "Infinity", "-Infinity", "1e400", "-1e400", "1" + "0" * 400],
+        ids=["nan", "inf", "-inf", "1e400", "-1e400", "int-1e400"],
+    )
+    def test_non_finite_number_is_schema_violation(self, number, capsysbinary):
+        body = ('{"kind": "classify", "t": [[[%s, 0]]]}' % number).encode()
+        code, out = self.run(["classify"], body, capsysbinary)
+        assert code == 1
+        decoded = json.loads(out)  # exactly one JSON document
+        assert decoded["error"]["code"] == "SCHEMA_VIOLATION"
+        assert decoded["error"]["path"] == "t[0][0][0]"
+
+
+def _doc(kind, check=None, tol=None, **matrices):
+    fields = {"kind": kind, **({"check": check} if check else {})}
+    fields.update({key: enc_matrix(M) for key, M in matrices.items()})
+    return payload(**fields, **({"tol": tol} if tol else {}))
+
+
+_D = np.diag
+# (subcommand, input document, SHA-256 of its canonical output). A refactor
+# leaves every digest as it is; change one only with a deliberate change of
+# output.
+PINNED_OUTPUTS = {
+    "decompose-readme": (
+        "decompose",
+        b"""{
+  "kind": "decompose",
+  "t":     [[[-1,0],[0,0],[0,0]], [[0,0],[1,0],[0,0]], [[0,0],[0,0],[0,0]]],
+  "omega": [[[0,0],[0,0],[0,0]], [[0,0],[1,0],[0,0]], [[0,0],[0,0],[1,0]]],
+  "sigma": [[[1,0],[0,0],[0,0]], [[0,0],[1,0],[0,0]], [[0,0],[0,0],[0,0]]]
+}
+""",
+        "08ad38a28bf7803f07309e0dc983967de7d86b969062b7614cc0d031e1a13531",
+    ),
+    "decompose-constructed": (
+        "decompose",
+        _doc("decompose", t=[[1, 2j], [0.5, -1]], omega=_D([0.0, 1.0])),
+        "2aede5863d9ed21f6b8831d67ba060bd9400117e58ca8c7f327e3bcf5abec176",
+    ),
+    "decompose-nonneg": (
+        "decompose-nonneg",
+        _doc("decompose-nonneg", sigma=_D([1.0, 1.0, 0.0]), omega=_D([0.0, 1.0, 1.0])),
+        "fe00772bfbe293827cb6d96ab50d7495b4251c96af6b0184b83b138244c2cc30",
+    ),
+    "classify": (
+        "classify",
+        _doc("classify", t=np.diag([2.0, 1.0]) + 1j * np.array([[0.5, 0.2], [0.2, -0.3]])),
+        "16a89acad66fad19742b90b9b79f075bf68041df69b5a418fd89e3cf3a901f9d",
+    ),
+    "dominate": (
+        "dominate",
+        _doc("dominate", t=[[1.0, 2.0], [0.0, 1.0]]),
+        "690da96fd9526244bbf28b7587677555f7144a2c46e8cd47f239d419f8a1e1bb",
+    ),
+    "measure": (
+        "measure",
+        payload(
+            kind="measure",
+            atoms=["a", "b", "c"],
+            mu=enc_measure([3 + 1j, 2.0, 0.0]),
+            nu=enc_measure([0.0, 1.0, 2.0]),
+        ),
+        "290e4ee05bf21b2ab87eb8241a34a81bef77134c2c9f5c240266150bf409156a",
+    ),
+    "check/membership": (
+        "check",
+        _doc("check", "membership", sigma=_D([1.0, 1.0, 0.0]), t=_D([-1.0, 1.0, 0.0])),
+        "b02c86ad6ef9a8b6869272a6a1e465efc71c78a7d50349a7810593a586d4fbcc",
+    ),
+    "check/regular": (
+        "check",
+        _doc("check", "regular", t=_D([0.0, 1.0, 0.0]), omega=_D([0.0, 1.0, 1.0])),
+        "081300d0b8d724c7c5778906492ece02bae556e73e4f0850c2ca22494f47fc6c",
+    ),
+    "check/strongly-singular": (
+        "check",
+        _doc(
+            "check",
+            "strongly-singular",
+            t=_D([1.0, 0.0, 0.0]),
+            omega=_D([0.0, 1.0, 1.0]),
+            sigma=_D([1.0, 0.0, 0.0]),
+        ),
+        "796c7571448e564a25f01287446cf82aecde2fa04679461fab359b3e97573f2d",
+    ),
+    "check/mixed": (
+        "check",
+        _doc(
+            "check",
+            "mixed",
+            t=_D([1.0, -1.0]),
+            omega=[[1.0, 1.0], [1.0, 1.0]],
+            alpha=[[1.0, 1.0], [1.0, 1.0]],
+            beta=[[1.0, -1.0], [-1.0, 1.0]],
+        ),
+        "ba85dd4f5e2388071e0426f50d50236b80a7957b0a4acf72596aac4e26d13899",
+    ),
+    "check/ac": (
+        "check",
+        _doc("check", "ac", sigma=_D([0.0, 1.0, 0.0]), omega=_D([0.0, 1.0, 1.0])),
+        "5b25e3ee5c79b0e1e5c53ad357996578a5edd4e08bf1be4fc662be867bad0ade",
+    ),
+    "check/singular-nonneg": (
+        "check",
+        _doc("check", "singular-nonneg", sigma=_D([1.0, 0.0, 0.0]), omega=_D([0.0, 1.0, 1.0])),
+        "e64981873066363aead989521145ac79f66e560d66b5cf24dfb13a13165e6d4c",
+    ),
+    "check/singular-sufficient": (
+        "check",
+        _doc("check", "singular-sufficient", t=_D([1.0, 0.0, 0.0]), omega=_D([0.0, 1.0, 1.0])),
+        "61808adf128800775e704d15d10472b6fde839fbb42aef57ad0ab9a19ba642e4",
+    ),
+    "check/omega-bounded": (
+        "check",
+        _doc("check", "omega-bounded", t=_D([0.0, 1.0, 0.0]), omega=_D([0.0, 1.0, 1.0])),
+        "199517a7c9c7d72f3b39935fa6fe5eca59544b07893da60d12c5338aee2b109f",
+    ),
+    # both the problem-tolerance and the default-tolerance PSD checks fail
+    "not-psd-omega": (
+        "decompose-nonneg",
+        _doc("decompose-nonneg", sigma=np.eye(3), omega=-np.eye(3)),
+        "2bed3f6e01ff9601d11ac40f2274a85d0f08490f895f1ef956cf16e21c80b41f",
+    ),
+    # PSD at the default tolerance, not at the problem's psd_abs
+    "not-psd-at-problem-tol": (
+        "decompose-nonneg",
+        _doc("decompose-nonneg", tol={"psd_abs": 1e-12}, sigma=_D([-5e-10, 1.0]), omega=np.eye(2)),
+        "1f9fb4a1f90066b82022dbdaff0fbab30f2728483bb7f0b9e13bf082b0d6bbfe",
+    ),
+    # PSD at the problem's psd_abs, not at the default tolerance
+    "not-psd-at-default-tol": (
+        "decompose-nonneg",
+        _doc(
+            "decompose-nonneg", tol={"psd_abs": 1e-8}, sigma=_D([-5e-9, 1.0]), omega=np.eye(2)
+        ),
+        "1e9aad74f9d1b1edbcdd6262f0c6b34617e5244f0fffafc71c28f56ff5f056de",
+    ),
+    "selftest": (
+        "selftest",
+        None,
+        "2fcdbc43499f37650c783f01f35ff981dfb687512f5515b018fead3b2c63b062",
+    ),
+}
+
+
+def test_pinned_documents_cover_every_subcommand_and_check():
+    commands = {cmd for cmd, _, _ in PINNED_OUTPUTS.values()}
+    assert commands == set(KINDS) | {"selftest"}
+    checks = {name.split("/")[1] for name in PINNED_OUTPUTS if name.startswith("check/")}
+    assert checks == set(CHECK_KINDS)
+
+
+@pytest.mark.parametrize("name", list(PINNED_OUTPUTS))
+def test_output_bytes_pinned(name):
+    cmd, raw, digest = PINNED_OUTPUTS[name]
+    problem = parse_input(raw) if raw is not None else None
+    out = emit_output(run_command(cmd, problem))
+    assert hashlib.sha256(out).hexdigest() == digest

@@ -15,6 +15,7 @@ from formleb import (
     construct_dominating,
     is_bounded_by,
     is_dominating,
+    is_psd,
     polarization_reconstruct,
 )
 from formleb.errors import DimensionMismatch
@@ -138,6 +139,23 @@ class TestNonNegativeForm:
                 rhs = s.quadratic(phi).real * s.quadratic(psi).real
                 assert lhs <= rhs * (1 + 1e-9) + 1e-9
 
+    def test_psd_at_matches_is_psd(self, rng):
+        skew = np.array([[0.0, 5e-10], [0.0, 0.0]])  # asymmetry within the default slack
+        forms = [
+            NonNegativeForm(np.diag([-5e-10, 1.0])),
+            NonNegativeForm(np.eye(2) + skew),
+            NonNegativeForm(random_psd(rng, 4, 2)),
+        ]
+        tolerances = [
+            Tolerance(),
+            Tolerance(psd_abs=1e-12),
+            Tolerance(cmp_abs=1e-10),
+            Tolerance(psd_abs=1e-6, cmp_abs=1e-6),
+        ]
+        for form in forms:
+            for tol in tolerances:
+                assert form.psd_at(tol) == is_psd(form.matrix, tol)
+
 
 class TestDominating:
     def test_worked_sigma(self):
@@ -212,6 +230,21 @@ class TestClassifyRange:
         rc = classify_range(SesquilinearForm(np.diag([1.0, 1j])))
         assert rc.quadrant and rc.halfplane and not rc.real and not rc.nonneg
         assert not rc.sector and rc.sector_constant is None
+
+    def test_halfplane_matches_is_psd_of_real_part(self):
+        # hermitize(Re A) differs from Re A here in the sign of zero entries,
+        # and eigvalsh of the two can differ in the last bit; the first
+        # psd_abs lies between the two smallest eigenvalues OpenBLAS returns
+        pairs = [
+            [(0.5, 0.0), (-0.0, 0.5), (0.0, -1.0)],
+            [(-0.0, 0.0), (0.0, -2.0), (0.5, 0.0)],
+            [(-0.0, -0.0), (-2.0, -1.0), (1.0, 0.0)],
+        ]
+        form = SesquilinearForm(np.array([[complex(*p) for p in row] for row in pairs]))
+        for psd_abs in (0.5525123424419744, 0.1, 0.9):
+            tol = Tolerance(psd_abs=psd_abs)
+            halfplane = is_psd(form.real_part().matrix, tol)
+            assert classify_range(form, tol).halfplane == halfplane
 
     def test_smallest_sector_constant_diagonal(self):
         # values |x1|^2 (1 + i b): the sector needs exactly c = b

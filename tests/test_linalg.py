@@ -4,19 +4,16 @@ import numpy as np
 import pytest
 
 from formleb import (
-    NotHermitian,
     NotPSD,
     Tolerance,
-    hermitian_eig,
     is_psd,
     kernel_basis,
     operator_norm,
     pinv_sqrt,
     psd_sqrt,
 )
-from formleb.errors import DimensionMismatch
 
-from conftest import crandn, max_abs, random_hermitian, random_psd
+from conftest import crandn, max_abs, random_psd
 
 
 def test_tolerance_validation():
@@ -32,32 +29,6 @@ def test_non_finite_entries_rejected():
         operator_norm(np.array([[np.nan, 0.0], [0.0, 1.0]]))
     with pytest.raises(ValueError):
         is_psd(np.array([[np.inf, 0.0], [0.0, 1.0]]))
-
-
-class TestHermitianEig:
-    def test_identity(self):
-        lam, V = hermitian_eig(np.eye(2))
-        assert np.allclose(lam, [1.0, 1.0])
-        assert np.allclose(V @ V.conj().T, np.eye(2))
-
-    def test_diagonal_ascending(self):
-        lam, _ = hermitian_eig(np.diag([2.0, 0.0, 1.0]))
-        assert np.allclose(lam, [0.0, 1.0, 2.0])
-
-    def test_reconstruction_random(self, rng):
-        for n in (2, 3, 5, 8):
-            H = random_hermitian(rng, n)
-            lam, V = hermitian_eig(H)
-            assert max_abs(V @ np.diag(lam) @ V.conj().T - H) < n * 1e-12
-            assert max_abs(V.conj().T @ V - np.eye(n)) < n * 1e-12
-
-    def test_rejects_non_square(self):
-        with pytest.raises(DimensionMismatch):
-            hermitian_eig(np.zeros((2, 3)))
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(NotHermitian):
-            hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 class TestPsdSqrt:
