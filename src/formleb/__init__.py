@@ -13,8 +13,8 @@ from .errors import (
     FormLebError,
     InconsistentRank,
     NegativeReference,
+    NonFinite,
     NotDominating,
-    NotHermitian,
     NotPSD,
     PreconditionViolation,
 )
@@ -77,9 +77,9 @@ __all__ = [
     "MeasureSplit",
     "NegativeReference",
     "NonNegSplit",
+    "NonFinite",
     "NonNegativeForm",
     "NotDominating",
-    "NotHermitian",
     "NotPSD",
     "PreconditionViolation",
     "QuotientContext",

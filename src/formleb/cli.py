@@ -40,7 +40,7 @@ from .lebesgue import (
     is_strongly_singular,
     singularity_sufficient,
 )
-from .linalg import DEFAULT_TOL, Tolerance, is_psd, operator_norm, psd_rank
+from .linalg import DEFAULT_TOL, Tolerance, is_psd, operator_norm
 from .measures import AtomicMeasureSpace, ComplexMeasure, decompose_via_forms
 from .selftest import run_selftest
 
@@ -338,7 +338,7 @@ def _run_decompose(problem: ProblemInput) -> tuple[dict, dict]:
     diagnostics = {
         "dim": form.dim,
         "sigma_provided": provided,
-        "rank_gram": psd_rank(dom.matrix + ref.matrix, tol),
+        "rank_gram": triple.witnesses.gram_rank,
         "exactness_residual": float(np.max(np.abs(total - form.matrix))),
     }
     if not provided:
@@ -358,7 +358,7 @@ def _run_decompose_nonneg(problem: ProblemInput) -> tuple[dict, dict]:
     }
     diagnostics = {
         "dim": sigma.dim,
-        "rank_gram": psd_rank(sigma.matrix + ref.matrix, tol),
+        "rank_gram": split.gram_rank,
         "exactness_residual": residual,
     }
     return results, diagnostics

@@ -11,8 +11,10 @@ class DimensionMismatch(FormLebError):
     code = "DIM_MISMATCH"
 
 
-class NotHermitian(FormLebError):
-    code = "NOT_HERMITIAN"
+class NonFinite(FormLebError, ValueError):
+    """An input or intermediate matrix has an infinite or NaN entry."""
+
+    code = "NON_FINITE"
 
 
 class NotPSD(FormLebError):

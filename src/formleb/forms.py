@@ -10,6 +10,7 @@ classification and boundedness relative to a reference form.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -19,16 +20,12 @@ from .linalg import (
     Tolerance,
     annihilates,
     as_complex_matrix,
+    eig_pinv_sqrt,
     hermitize,
     is_psd,
-    kernel_basis,
     max_asymmetry,
     operator_norm,
-    pinv_sqrt,
 )
-
-# Absolute tolerance for locating the smallest sector constant by bisection.
-SECTOR_BISECTION_TOL = 1e-8
 
 
 def _as_vector(value, n: int, name: str) -> np.ndarray:
@@ -92,7 +89,8 @@ class NonNegativeForm(SesquilinearForm):
     The constructor validates the matrix once and keeps what it computed:
     `asymmetry` is max |A - A*| and `spectrum` the ascending eigenvalues of
     the symmetrized matrix, so `psd_at` answers for any tolerance without
-    factoring again.
+    factoring again. `eigenpairs` is factored on first use and kept; every
+    kernel, root and rank of the form is read from it.
     """
 
     asymmetry: float = field(init=False, repr=False, compare=False)
@@ -113,6 +111,20 @@ class NonNegativeForm(SesquilinearForm):
         if self.asymmetry > tol.cmp_abs:
             return False
         return bool(self.spectrum[0] >= -tol.psd_abs)
+
+    @cached_property
+    def eigenpairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (ascending eigenvalues clipped at 0, eigenvectors) of the
+        symmetrized matrix. Threads racing on first use compute the same value."""
+        lam, V = np.linalg.eigh(hermitize(self.matrix))
+        lam = np.clip(lam, 0.0, None)
+        lam.flags.writeable = V.flags.writeable = False
+        return lam, V
+
+    def kernel(self, tol: Tolerance) -> np.ndarray:
+        """Orthonormal kernel basis at the form's own cutoff rank_rel * lambda_max."""
+        lam, V = self.eigenpairs
+        return V[:, lam <= tol.rank_rel * lam[-1]]
 
 
 @dataclass(frozen=True)
@@ -156,20 +168,20 @@ def _check_same_dim(a: SesquilinearForm, b: SesquilinearForm) -> None:
 
 
 def _compressed_norm(
-    ref: NonNegativeForm, A: np.ndarray, tol: Tolerance, not_psd: str
+    eigenpairs: tuple[np.ndarray, np.ndarray], A: np.ndarray, tol: Tolerance
 ) -> float | None:
-    """Norm of A compressed by the pseudo-inverse square root of ref's matrix.
+    """Norm of A compressed by the pseudo-inverse square root of a PSD W.
 
-    None when ker(ref) fails to annihilate A or A*, i.e. when no multiple of
-    ref dominates A. Raises NotPSD(not_psd) when ref is not PSD at `tol`.
+    `eigenpairs` is W's eigensystem, eigenvalues ascending and clipped at 0.
+    None when ker(W) fails to annihilate A or A*, i.e. when no multiple of W
+    dominates A.
     """
-    if not ref.psd_at(tol):
-        raise NotPSD(not_psd)
-    W = ref.matrix
-    K = kernel_basis(W, tol)
+    lam, V = eigenpairs
+    cutoff = tol.rank_rel * lam[-1]
+    K = V[:, lam <= cutoff]
     if not (annihilates(A, K, tol) and annihilates(A.conj().T, K, tol)):
         return None
-    Wph = pinv_sqrt(W, tol)
+    Wph = eig_pinv_sqrt(lam, V, cutoff)
     return operator_norm(Wph @ A @ Wph)
 
 
@@ -183,7 +195,9 @@ def is_dominating(
     S has operator norm at most 1.
     """
     _check_same_dim(sigma, form)
-    norm = _compressed_norm(sigma, form.matrix, tol, "dominating candidate must be PSD")
+    if not sigma.psd_at(tol):
+        raise NotPSD("dominating candidate must be PSD")
+    norm = _compressed_norm(sigma.eigenpairs, form.matrix, tol)
     return norm is not None and norm <= 1.0 + tol.psd_abs
 
 
@@ -200,7 +214,7 @@ def construct_dominating(
     U, s, Vh = np.linalg.svd(A)
     abs_right = hermitize(Vh.conj().T @ (s[:, None] * Vh))  # (A* A)^(1/2)
     abs_left = hermitize(U @ (s[:, None] * U.conj().T))  # (A A*)^(1/2)
-    scale = max(1.0, float(s[0]) ** 2) if s.size else 1.0
+    scale = max(1.0, float(s[0] ** 2)) if s.size else 1.0
     normality_gap = float(np.max(np.abs(A @ A.conj().T - A.conj().T @ A)))
     if normality_gap <= form.dim * tol.cmp_abs * scale:
         candidate = NonNegativeForm(abs_right)
@@ -209,41 +223,13 @@ def construct_dominating(
     return NonNegativeForm(abs_right + abs_left)
 
 
-def _smallest_sector_constant(
-    re: np.ndarray, im: np.ndarray, lam: np.ndarray, tol: Tolerance
-) -> tuple[bool, float | None]:
-    """Smallest c >= 0 with c*Re - Im and c*Re + Im both PSD, if any exists.
-
-    lam holds the ascending eigenvalues of re.
-    """
-
-    def feasible(c: float) -> bool:
-        return is_psd(c * re - im, tol) and is_psd(c * re + im, tol)
-
-    if feasible(0.0):
-        return True, 0.0
-    positive = lam[lam > tol.rank_rel * max(float(lam[-1]), 0.0)]
-    if positive.size == 0:
-        return False, None
-    hi = 2.0 * operator_norm(im) / float(positive[0]) + 1.0
-    if not feasible(hi):
-        return False, None
-    lo = 0.0
-    while hi - lo > SECTOR_BISECTION_TOL:
-        mid = (lo + hi) / 2.0
-        if feasible(mid):
-            hi = mid
-        else:
-            lo = mid
-    return True, hi
-
-
 def classify_range(form: SesquilinearForm, tol: Tolerance = DEFAULT_TOL) -> RangeClass:
     """Classify which reference regions contain every quadratic value of `form`.
 
     The tests are matrix criteria: non-negativity of A for [0, inf), Hermiticity
-    for R, non-negativity of the real/imaginary parts for the half-plane and
-    quadrant, and of c*Re(A) -/+ Im(A) for the sector of aperture c.
+    for R, and non-negativity of the real/imaginary parts for the half-plane and
+    quadrant. The smallest sector constant is the boundedness constant of
+    Im(A) relative to Re(A), and exactly 0 when Im(A) and -Im(A) are PSD.
     """
     A = form.matrix
     re = hermitize(A)
@@ -257,16 +243,18 @@ def classify_range(form: SesquilinearForm, tol: Tolerance = DEFAULT_TOL) -> Rang
     lam_sym = lam if sym.tobytes() == re.tobytes() else np.linalg.eigvalsh(sym)
     halfplane = bool(lam_sym[0] >= -tol.psd_abs)
     quadrant = halfplane and is_psd(im, tol)
-    if halfplane:
-        sector, constant = _smallest_sector_constant(re, im, lam, tol)
-    else:
-        sector, constant = False, None
+    constant = None
+    if quadrant and is_psd(-im, tol):
+        constant = 0.0
+    elif halfplane:
+        lam_re, V = np.linalg.eigh(re)
+        constant = _compressed_norm((np.clip(lam_re, 0.0, None), V), im, tol)
     return RangeClass(
         nonneg=nonneg,
         real=real,
         quadrant=quadrant,
         halfplane=halfplane,
-        sector=sector,
+        sector=constant is not None,
         sector_constant=constant,
     )
 
@@ -281,5 +269,7 @@ def is_bounded_by(
     the form's matrix and its adjoint.
     """
     _check_same_dim(form, ref)
-    norm = _compressed_norm(ref, form.matrix, tol, "reference form must be PSD")
+    if not ref.psd_at(tol):
+        raise NotPSD("reference form must be PSD")
+    norm = _compressed_norm(ref.eigenpairs, form.matrix, tol)
     return (False, None) if norm is None else (True, norm)

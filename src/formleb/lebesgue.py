@@ -30,11 +30,10 @@ from .linalg import (
     DEFAULT_TOL,
     Tolerance,
     annihilates,
+    eig_pinv_sqrt,
     hermitize,
     kernel_basis,
     operator_norm,
-    psd_rank,
-    psd_sqrt,
 )
 
 
@@ -42,24 +41,26 @@ from .linalg import (
 class QuotientContext:
     """Precomputed spectral data of the combined metric G = dom + ref.
 
-    gram_half / gram_pinv_half are the PSD square root and its pseudo-inverse,
-    range_proj the orthogonal projector onto range(G), ref_kernel_image an
-    orthonormal basis of gram_half @ ker(ref) (directions of singular mass),
-    ac_proj the projector onto range(G) minus that span, and contraction the
-    norm <= 1 representation gram_pinv_half @ A @ gram_pinv_half of an attached
-    dominated form (None when no form is attached).
+    cutoff is the family's rank cutoff rank_rel * lambda_max(G) and rank the
+    number of eigenvalues of G above it. gram_half is the PSD square root of
+    G, range_proj the orthogonal projector onto range(G), ref_kernel an
+    orthonormal basis of ker(ref) at the family cutoff, ref_kernel_image one
+    of gram_half @ ker(ref) (directions of singular mass), ac_proj the
+    projector onto range(G) minus that span, and contraction the norm <= 1
+    representation G^(+1/2) A G^(+1/2) of an attached dominated form (None
+    when no form is attached).
     """
 
     dom: np.ndarray
     ref: np.ndarray
-    gram: np.ndarray
+    cutoff: float
+    rank: int
     gram_half: np.ndarray
-    gram_pinv_half: np.ndarray
     range_proj: np.ndarray
+    ref_kernel: np.ndarray
     ref_kernel_image: np.ndarray
     ac_proj: np.ndarray
     contraction: np.ndarray | None
-    tol: Tolerance
 
     @property
     def sing_proj(self) -> np.ndarray:
@@ -69,10 +70,14 @@ class QuotientContext:
 
 @dataclass(frozen=True)
 class NonNegSplit:
-    """Split of a non-negative form into reference-a.c. and reference-singular parts."""
+    """Split of a non-negative form into reference-a.c. and reference-singular parts.
+
+    gram_rank is the rank of sigma + ref at the family cutoff.
+    """
 
     absolutely_continuous: NonNegativeForm
     singular: NonNegativeForm
+    gram_rank: int
 
     @property
     def total(self) -> np.ndarray:
@@ -111,17 +116,6 @@ def _orthonormal_image(M: np.ndarray, cutoff: float) -> np.ndarray:
     return U[:, :rank]
 
 
-def _psd_kernel_at(H: np.ndarray, cutoff: float) -> np.ndarray:
-    """Orthonormal kernel of a PSD matrix at an absolute eigenvalue cutoff.
-
-    Rank decisions about one member of a family {S, W, S+W} must share the
-    family scale: a part whose whole mass sits below the combined cutoff is
-    null, even though its own largest eigenvalue would make it look full rank.
-    """
-    lam, V = np.linalg.eigh(hermitize(H))
-    return V[:, np.clip(lam, 0.0, None) <= cutoff]
-
-
 def build_context(
     dominating: NonNegativeForm,
     ref: NonNegativeForm,
@@ -153,12 +147,14 @@ def build_context(
     cutoff = tol.rank_rel * lam[-1]
     kept = lam > cutoff
     half = np.where(kept, np.sqrt(lam), 0.0)
-    inv_half = np.where(kept, 1.0 / np.where(kept, np.sqrt(lam), 1.0), 0.0)
     Ghalf = hermitize((V * half) @ V.conj().T)
-    Gph = hermitize((V * inv_half) @ V.conj().T)
+    Gph = eig_pinv_sqrt(lam, V, cutoff)
     range_proj = hermitize((V * kept.astype(float)) @ V.conj().T)
 
-    ref_kernel = _psd_kernel_at(W, cutoff)
+    # a part whose whole mass sits below the family cutoff is null, even
+    # though its own largest eigenvalue would make it look full rank
+    ref_lam, ref_V = ref.eigenpairs
+    ref_kernel = ref_V[:, ref_lam <= cutoff]
     # Directions of G-mass below the rank cutoff collapse to zero in the
     # quotient; in the square-root metric that cutoff is sqrt(rank_rel)*||G^1/2||.
     image_cutoff = np.sqrt(tol.rank_rel) * float(half.max(initial=0.0))
@@ -167,16 +163,16 @@ def build_context(
 
     That = Gph @ form.matrix @ Gph if form is not None else None
     return QuotientContext(
-        dom=_freeze(S.copy()),
-        ref=_freeze(W.copy()),
-        gram=_freeze(G),
+        dom=S,
+        ref=W,
+        cutoff=cutoff,
+        rank=int(np.count_nonzero(kept)),
         gram_half=_freeze(Ghalf),
-        gram_pinv_half=_freeze(Gph),
         range_proj=_freeze(range_proj),
+        ref_kernel=_freeze(ref_kernel),
         ref_kernel_image=_freeze(Vimg),
         ac_proj=_freeze(Phat),
         contraction=_freeze(That) if That is not None else None,
-        tol=tol,
     )
 
 
@@ -187,6 +183,7 @@ def _split_from_context(ctx: QuotientContext) -> NonNegSplit:
     return NonNegSplit(
         absolutely_continuous=NonNegativeForm(ac),
         singular=NonNegativeForm(sing),
+        gram_rank=ctx.rank,
     )
 
 
@@ -247,14 +244,6 @@ def _min_eig(H: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(hermitize(H))[0])
 
 
-def _family_spectrum(
-    sigma: NonNegativeForm, ref: NonNegativeForm, tol: Tolerance
-) -> tuple[np.ndarray, float]:
-    """Eigenvalues of sigma + ref and the rank cutoff the family shares."""
-    lam = np.linalg.eigvalsh(hermitize(sigma.matrix + ref.matrix))
-    return lam, tol.rank_rel * max(float(lam[-1]), 0.0)
-
-
 def _rank_at(lam: np.ndarray, cutoff: float) -> int:
     return int(np.count_nonzero(lam > cutoff))
 
@@ -282,7 +271,7 @@ def ac_extremal_check(
         raise DimensionMismatch("u, sigma and ref must share a dimension")
     if _min_eig(sigma.matrix - u.matrix) < -tol.psd_abs:
         raise PreconditionViolation("u must satisfy u <= sigma")
-    if not annihilates(u.matrix, kernel_basis(ref.matrix, tol), tol):
+    if not annihilates(u.matrix, ref.kernel(tol), tol):
         raise PreconditionViolation(
             "u must be absolutely continuous: ker(ref) must lie in ker(u)"
         )
@@ -299,13 +288,11 @@ def is_absolutely_continuous(
     against the finite-dimensional kernel criterion ker(ref) <= ker(sigma);
     disagreement raises InconsistentRank.
     """
-    split = decompose_nonneg(sigma, ref, tol)
+    ctx = build_context(sigma, ref, tol=tol)
+    split = _split_from_context(ctx)
     scale = operator_norm(sigma.matrix)
     via_split = _is_zero_matrix(split.singular.matrix, tol, scale)
-    _, family_cutoff = _family_spectrum(sigma, ref, tol)
-    via_kernel = annihilates(
-        sigma.matrix, _psd_kernel_at(ref.matrix, family_cutoff), tol
-    )
+    via_kernel = annihilates(sigma.matrix, ctx.ref_kernel, tol)
     if via_split != via_kernel:
         raise InconsistentRank(
             "absolute-continuity criteria disagree (split vs kernel inclusion); "
@@ -323,13 +310,13 @@ def is_singular_nonneg(
     rank additivity rank(S + W) = rank(S) + rank(W), the dimension count of the
     quotient-space product criterion; disagreement raises InconsistentRank.
     """
-    split = decompose_nonneg(sigma, ref, tol)
+    ctx = build_context(sigma, ref, tol=tol)
+    split = _split_from_context(ctx)
     scale = operator_norm(sigma.matrix)
     via_split = _is_zero_matrix(split.absolutely_continuous.matrix, tol, scale)
-    lam, family_cutoff = _family_spectrum(sigma, ref, tol)
-    via_rank = _rank_at(lam, family_cutoff) == _rank_at(
-        sigma.spectrum, family_cutoff
-    ) + _rank_at(ref.spectrum, family_cutoff)
+    via_rank = ctx.rank == _rank_at(sigma.spectrum, ctx.cutoff) + _rank_at(
+        ref.spectrum, ctx.cutoff
+    )
     if via_split != via_rank:
         raise InconsistentRank(
             "singularity criteria disagree (split vs rank additivity); "
@@ -363,16 +350,6 @@ def is_strongly_singular(
     return is_dominating(cert, form, tol) and is_singular_nonneg(cert, ref, tol)
 
 
-def _compression_vanishes(
-    A: np.ndarray, K: np.ndarray, tol: Tolerance
-) -> bool:
-    """Whether the compression K* A K is the zero matrix (K orthonormal columns)."""
-    if K.shape[1] == 0:
-        return True
-    C = K.conj().T @ A @ K
-    return _is_zero_matrix(C, tol, operator_norm(A))
-
-
 def is_mixed_certificate(
     form: SesquilinearForm,
     ref: NonNegativeForm,
@@ -398,9 +375,11 @@ def is_mixed_certificate(
     if not is_dominating(total, form, tol):
         return False
     A = form.matrix
-    if not _compression_vanishes(A, kernel_basis(alpha.matrix, tol), tol):
-        return False
-    return _compression_vanishes(A, kernel_basis(beta.matrix, tol), tol)
+    scale = operator_norm(A)
+    return all(
+        K.shape[1] == 0 or _is_zero_matrix(K.conj().T @ A @ K, tol, scale)
+        for K in (alpha.kernel(tol), beta.kernel(tol))
+    )
 
 
 def singularity_sufficient(
@@ -414,10 +393,11 @@ def singularity_sufficient(
     """
     if not ref.psd_at(tol):
         raise NotPSD("reference form must be PSD")
-    ref_rank = psd_rank(ref.matrix, tol)
+    lam, V = ref.eigenpairs
+    ref_rank = _rank_at(lam, tol.rank_rel * lam[-1])
     if ref_rank == 0:
         return True
-    Whalf = psd_sqrt(ref.matrix, tol)
+    Whalf = hermitize((V * np.sqrt(lam)) @ V.conj().T)
     cutoff = np.sqrt(tol.rank_rel) * operator_norm(Whalf)
     A = form.matrix
     for M in (A, A.conj().T):

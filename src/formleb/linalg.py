@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotPSD
+from .errors import DimensionMismatch, NonFinite, NotPSD
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,7 @@ def as_complex_matrix(value, name: str = "matrix") -> np.ndarray:
     if A.shape[0] == 0:
         raise DimensionMismatch(f"{name} must have positive dimension")
     if not np.isfinite(A).all():
-        raise ValueError(f"{name} contains non-finite entries")
+        raise NonFinite(f"{name} contains non-finite entries")
     return A
 
 
@@ -83,7 +83,14 @@ def pinv_sqrt(H, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     onto range(H).
     """
     lam, V = _psd_spectrum(H, tol, "H")
-    cutoff = tol.rank_rel * lam[-1]
+    return eig_pinv_sqrt(lam, V, tol.rank_rel * lam[-1])
+
+
+def eig_pinv_sqrt(lam: np.ndarray, V: np.ndarray, cutoff: float) -> np.ndarray:
+    """Pseudo-inverse square root from an eigensystem (lam clipped at 0).
+
+    Eigenvalues at or below the absolute `cutoff` invert to 0.
+    """
     inv = np.zeros_like(lam)
     kept = lam > cutoff
     inv[kept] = 1.0 / np.sqrt(lam[kept])
@@ -120,15 +127,8 @@ def operator_norm(A) -> float:
     if 0 in M.shape:
         return 0.0
     if not np.isfinite(M).all():
-        raise ValueError("matrix contains non-finite entries")
+        raise NonFinite("matrix contains non-finite entries")
     return float(np.linalg.svd(M, compute_uv=False)[0])
-
-
-def psd_rank(H, tol: Tolerance = DEFAULT_TOL) -> int:
-    """Numerical rank of a PSD matrix under the shared relative cutoff."""
-    lam, _ = _psd_spectrum(H, tol, "H")
-    cutoff = tol.rank_rel * lam[-1]
-    return int(np.count_nonzero(lam > cutoff))
 
 
 def annihilates(A: np.ndarray, K: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:

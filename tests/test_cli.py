@@ -356,6 +356,20 @@ class TestMain:
         assert decoded["error"]["code"] == "SCHEMA_VIOLATION"
         assert decoded["error"]["path"] == "t[0][0][0]"
 
+    # finite entries whose sums and squares overflow inside the engine
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("kind", ["classify", "dominate", "decompose"])
+    def test_overflow_is_non_finite(self, kind, capsysbinary):
+        t = np.array([[1e308, 1e308], [-1e308, 1.0]])
+        fields = {"kind": kind, "t": enc_matrix(t)}
+        if kind == "decompose":
+            fields["omega"] = enc_matrix(np.eye(2))
+        code, out = self.run([kind], payload(**fields), capsysbinary)
+        assert code == 2
+        decoded = json.loads(out)  # exactly one JSON document
+        assert decoded["error"]["code"] == "NON_FINITE"
+
 
 def _doc(kind, check=None, tol=None, **matrices):
     fields = {"kind": kind, **({"check": check} if check else {})}
@@ -392,7 +406,8 @@ PINNED_OUTPUTS = {
     "classify": (
         "classify",
         _doc("classify", t=np.diag([2.0, 1.0]) + 1j * np.array([[0.5, 0.2], [0.2, -0.3]])),
-        "16a89acad66fad19742b90b9b79f075bf68041df69b5a418fd89e3cf3a901f9d",
+        # c = 0.3342329219213245, the boundedness constant of Im relative to Re
+        "873a80bb76ec5241b621601d1c68793ab25745359d42de390ea21a52f48ade7e",
     ),
     "dominate": (
         "dominate",

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -17,6 +18,7 @@ from formleb import (
     is_dominating,
     is_psd,
     polarization_reconstruct,
+    singularity_sufficient,
 )
 from formleb.errors import DimensionMismatch
 
@@ -246,6 +248,29 @@ class TestClassifyRange:
             halfplane = is_psd(form.real_part().matrix, tol)
             assert classify_range(form, tol).halfplane == halfplane
 
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    def test_sector_constant_is_generalized_spectral_radius(self, rng, scale):
+        # oracle: rho(Re^-1/2 Im Re^-1/2), the largest |lambda| of the
+        # generalized problem Im x = lambda Re x, solved by scipy
+        for n in range(1, 6):
+            for _ in range(10):
+                re = random_psd(rng, n) + 0.1 * np.eye(n)
+                Q, _ = np.linalg.qr(crandn(rng, n, n))
+                d = rng.uniform(0.2, 1.0, n) * rng.choice([-1.0, 1.0], n)
+                im = (Q * d) @ Q.conj().T
+                im = (im + im.conj().T) / 2
+                oracle = float(np.max(np.abs(sla.eigh(im, re, eigvals_only=True))))
+                rc = classify_range(SesquilinearForm(scale * (re + 1j * im)))
+                assert rc.sector
+                assert rc.sector_constant == pytest.approx(oracle, rel=1e-12)
+
+    @pytest.mark.parametrize("re, im", [(1.0, 0.5), (2.0, 0.5)])
+    def test_sector_constant_with_singular_real_part(self, re, im):
+        # Re = diag(re, 0), Im = diag(im, 0): Im vanishes on ker(Re), and the
+        # sector is |Im| <= (im / re) Re
+        rc = classify_range(SesquilinearForm(np.diag([re + 1j * im, 0.0])))
+        assert rc.sector and rc.sector_constant == pytest.approx(im / re, rel=1e-12)
+
     def test_smallest_sector_constant_diagonal(self):
         # values |x1|^2 (1 + i b): the sector needs exactly c = b
         b = 0.7
@@ -307,6 +332,23 @@ class TestBoundedBy:
         ref = NonNegativeForm(W)
         flag, constant = is_bounded_by(ref, ref)
         assert flag and constant == pytest.approx(1.0)
+
+    def test_reference_eigenpairs_factored_once(self, rng, monkeypatch):
+        ref = NonNegativeForm(random_psd(rng, 3, 2))
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted(H, *args, **kwargs):
+            calls.append(H)
+            return eigh(H, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        for _ in range(2):
+            is_bounded_by(SesquilinearForm(crandn(rng, 3, 3)), ref)
+        singularity_sufficient(SesquilinearForm(crandn(rng, 3, 3)), ref)
+        assert len(calls) == 1
+        lam, V = ref.eigenpairs
+        assert not lam.flags.writeable and not V.flags.writeable
 
 
 class TestDominationAlgebra:
