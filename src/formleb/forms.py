@@ -20,11 +20,19 @@ from .linalg import (
     Tolerance,
     annihilates,
     as_complex_matrix,
+    block_eigvalsh,
+    components,
     eig_pinv_sqrt,
+    gather,
     hermitize,
     is_psd,
+    is_whole,
+    leading_columns,
     max_asymmetry,
     operator_norm,
+    psd_eigh,
+    scatter_columns,
+    top_eigenvalue,
 )
 
 
@@ -90,24 +98,34 @@ class NonNegativeForm(SesquilinearForm):
     `asymmetry` is max |A - A*| and `spectrum` the ascending eigenvalues of
     the symmetrized matrix, so `psd_at` answers for any tolerance without
     factoring again. `eigenpairs` is factored on first use and kept; every
-    kernel, root and rank of the form is read from it.
+    kernel, root and rank of the form is read from it. Both are factored per
+    block of `groups`, a partition of the indices the matrix is block-diagonal
+    on (as `linalg.components` returns it), so a diagonal matrix costs no
+    n x n factorization. `groups` defaults to the connected components of the
+    matrix's support; a caller that already knows a valid partition passes it.
     """
 
+    groups: list[np.ndarray] | None = field(default=None, repr=False, compare=False, kw_only=True)
     asymmetry: float = field(init=False, repr=False, compare=False)
     spectrum: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         super().__post_init__()
-        object.__setattr__(self, "asymmetry", max_asymmetry(self.matrix))
+        if self.groups is None:
+            object.__setattr__(self, "groups", components(self.matrix))
+        # entries off the blocks are zero, so the blocks hold all of A - A*
+        blocks = gather(self.matrix, self.groups)
+        object.__setattr__(self, "asymmetry", max(map(max_asymmetry, blocks)))
         if self.asymmetry <= DEFAULT_TOL.cmp_abs:
-            lam = np.linalg.eigvalsh(hermitize(self.matrix))
+            lam = block_eigvalsh(blocks)
             lam.flags.writeable = False
             object.__setattr__(self, "spectrum", lam)
         if not self.psd_at(DEFAULT_TOL):
             raise NotPSD("matrix of a non-negative form must be positive semidefinite")
 
     def psd_at(self, tol: Tolerance) -> bool:
-        """Exactly ``is_psd(self.matrix, tol)``, from the constructor's spectrum."""
+        """``is_psd(self.matrix, tol)`` from the constructor's spectrum; exactly
+        it when the matrix is one component, else up to rounding."""
         if self.asymmetry > tol.cmp_abs:
             return False
         return bool(self.spectrum[0] >= -tol.psd_abs)
@@ -116,10 +134,25 @@ class NonNegativeForm(SesquilinearForm):
     def eigenpairs(self) -> tuple[np.ndarray, np.ndarray]:
         """Read-only (ascending eigenvalues clipped at 0, eigenvectors) of the
         symmetrized matrix. Threads racing on first use compute the same value."""
-        lam, V = np.linalg.eigh(hermitize(self.matrix))
-        lam = np.clip(lam, 0.0, None)
+        if is_whole(self.groups, self.dim):
+            lam, V = psd_eigh(self.matrix)
+        else:
+            pairs = self.block_eigenpairs(self.groups)
+            lam = np.concatenate([block_lam.ravel() for block_lam, _ in pairs])
+            V = scatter_columns([V for _, V in pairs], self.groups, self.dim)
+            order = np.argsort(lam, kind="stable")
+            lam, V = lam[order], V[:, order]
         lam.flags.writeable = V.flags.writeable = False
         return lam, V
+
+    def block_eigenpairs(self, groups: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Eigensystems of the diagonal blocks on `groups`, a partition the
+        matrix is block-diagonal on: per group, eigenvalues (b, m) ascending
+        and clipped at 0 and eigenvectors (b, m, m). On the single component
+        the one group is the matrix itself, with the kept `eigenpairs`."""
+        if is_whole(groups, self.dim):
+            return [self.eigenpairs]
+        return [psd_eigh(B) for B in gather(self.matrix, groups)]
 
     def kernel(self, tol: Tolerance) -> np.ndarray:
         """Orthonormal kernel basis at the form's own cutoff rank_rel * lambda_max."""
@@ -167,22 +200,65 @@ def _check_same_dim(a: SesquilinearForm, b: SesquilinearForm) -> None:
         raise DimensionMismatch(f"dimension mismatch: {a.dim} vs {b.dim}")
 
 
-def _compressed_norm(
-    eigenpairs: tuple[np.ndarray, np.ndarray], A: np.ndarray, tol: Tolerance
+def compressed_norm(
+    eigs: list[tuple[np.ndarray, np.ndarray]],
+    blocks: list[np.ndarray],
+    n: int,
+    tol: Tolerance,
 ) -> float | None:
     """Norm of A compressed by the pseudo-inverse square root of a PSD W.
 
-    `eigenpairs` is W's eigensystem, eigenvalues ascending and clipped at 0.
-    None when ker(W) fails to annihilate A or A*, i.e. when no multiple of W
-    dominates A.
+    W and A are n x n and block-diagonal on the same index groups: `eigs`
+    holds W's eigensystem per group (as `NonNegativeForm.block_eigenpairs`
+    gives it) and `blocks` the matching blocks of A (as `linalg.gather` gives
+    them). The kernel
+    cutoff rank_rel * lambda_max(W) and the annihilation threshold
+    n * rank_rel * max(1, ||A||) are those of the whole matrices. None when
+    ker(W) fails to annihilate A or A*, i.e. when no multiple of W dominates A.
     """
-    lam, V = eigenpairs
-    cutoff = tol.rank_rel * lam[-1]
-    K = V[:, lam <= cutoff]
-    if not (annihilates(A, K, tol) and annihilates(A.conj().T, K, tol)):
-        return None
-    Wph = eig_pinv_sqrt(lam, V, cutoff)
-    return operator_norm(Wph @ A @ Wph)
+    cutoff = tol.rank_rel * top_eigenvalue(eigs)
+    norm = None  # ||A||, needed only when W has a kernel
+    result = 0.0
+    for (lam, V), A in zip(eigs, blocks):
+        K = leading_columns(V, lam <= cutoff)
+        if K.shape[-1]:
+            if norm is None:
+                norm = max(map(operator_norm, blocks))
+            if not (
+                annihilates(A, K, tol, norm, n)
+                and annihilates(A.conj().swapaxes(-1, -2), K, tol, norm, n)
+            ):
+                return None
+        Wph = eig_pinv_sqrt(lam, V, cutoff)
+        result = max(result, operator_norm(Wph @ A @ Wph))
+    return result
+
+
+def dominates(
+    eigs: list[tuple[np.ndarray, np.ndarray]],
+    blocks: list[np.ndarray],
+    n: int,
+    tol: Tolerance,
+) -> bool:
+    """Whether the PSD W dominates A, from the arguments of `compressed_norm`."""
+    norm = compressed_norm(eigs, blocks, n, tol)
+    return norm is not None and norm <= 1.0 + tol.psd_abs
+
+
+def joint_groups(W: NonNegativeForm, *matrices: np.ndarray) -> list[np.ndarray]:
+    """The connected components of the joint support of W and `matrices`
+    (see `linalg.components`); W's own groups when W is one component, since
+    the family then is one too."""
+    if is_whole(W.groups, W.dim):
+        return W.groups
+    return components(W.matrix, *matrices)
+
+
+def _blocks_of(W: NonNegativeForm, A: np.ndarray):
+    """W's eigensystems and A's blocks on the connected components of the pair,
+    the first two arguments of `compressed_norm`."""
+    groups = joint_groups(W, A)
+    return W.block_eigenpairs(groups), gather(A, groups)
 
 
 def is_dominating(
@@ -197,8 +273,7 @@ def is_dominating(
     _check_same_dim(sigma, form)
     if not sigma.psd_at(tol):
         raise NotPSD("dominating candidate must be PSD")
-    norm = _compressed_norm(sigma.eigenpairs, form.matrix, tol)
-    return norm is not None and norm <= 1.0 + tol.psd_abs
+    return dominates(*_blocks_of(sigma, form.matrix), sigma.dim, tol)
 
 
 def construct_dominating(
@@ -248,7 +323,8 @@ def classify_range(form: SesquilinearForm, tol: Tolerance = DEFAULT_TOL) -> Rang
         constant = 0.0
     elif halfplane:
         lam_re, V = np.linalg.eigh(re)
-        constant = _compressed_norm((np.clip(lam_re, 0.0, None), V), im, tol)
+        eigs = [(np.clip(lam_re, 0.0, None), V)]
+        constant = compressed_norm(eigs, [im], form.dim, tol)
     return RangeClass(
         nonneg=nonneg,
         real=real,
@@ -271,5 +347,5 @@ def is_bounded_by(
     _check_same_dim(form, ref)
     if not ref.psd_at(tol):
         raise NotPSD("reference form must be PSD")
-    norm = _compressed_norm(ref.eigenpairs, form.matrix, tol)
+    norm = compressed_norm(*_blocks_of(ref, form.matrix), ref.dim, tol)
     return (False, None) if norm is None else (True, norm)

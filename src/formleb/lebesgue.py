@@ -8,6 +8,11 @@ orthogonal projector onto its complement compresses the dominated form into its
 regular part, the complementary compression yields the strongly singular part,
 and the two cross compressions make up the mixed part.
 
+When the matrices are block-diagonal up to a permutation, all of this splits
+along the blocks. The engine runs once per group of equal-size connected
+components of their joint support (`linalg.components`), each group as one
+stacked call, with every cutoff taken from the whole family.
+
 All decompositions are pure functions of their inputs; `QuotientContext` is
 immutable and shareable across threads.
 """
@@ -15,6 +20,8 @@ immutable and shareable across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,27 +32,66 @@ from .errors import (
     NotPSD,
     PreconditionViolation,
 )
-from .forms import NonNegativeForm, SesquilinearForm, is_bounded_by, is_dominating
+from .forms import (
+    NonNegativeForm,
+    SesquilinearForm,
+    dominates,
+    is_bounded_by,
+    is_dominating,
+    joint_groups,
+)
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
     annihilates,
     eig_pinv_sqrt,
+    gather,
     hermitize,
     kernel_basis,
+    leading_columns,
     operator_norm,
+    psd_eigh,
+    scatter,
+    scatter_columns,
+    top_eigenvalue,
 )
+
+
+class ComponentBlocks(NamedTuple):
+    """The engine's arrays for one group of equal-size components: (b, m, ...)
+    stacks, or the n x n matrices themselves on a single component.
+
+    dom and ref are the blocks of the two forms; gram_half, range_proj,
+    ac_proj and contraction those of the matching `QuotientContext` fields.
+    ref_kernel and ref_kernel_image hold the leading kernel and image
+    columns of each block, zero-padded to the group's longest.
+    """
+
+    dom: np.ndarray
+    ref: np.ndarray
+    gram_half: np.ndarray
+    range_proj: np.ndarray
+    ref_kernel: np.ndarray
+    ref_kernel_image: np.ndarray
+    ac_proj: np.ndarray
+    contraction: np.ndarray | None
 
 
 @dataclass(frozen=True)
 class QuotientContext:
     """Precomputed spectral data of the combined metric G = dom + ref.
 
-    cutoff is the family's rank cutoff rank_rel * lambda_max(G) and rank the
-    number of eigenvalues of G above it. gram_half is the PSD square root of
-    G, range_proj the orthogonal projector onto range(G), ref_kernel an
-    orthonormal basis of ker(ref) at the family cutoff, ref_kernel_image one
-    of gram_half @ ker(ref) (directions of singular mass), ac_proj the
+    The engine runs once per connected component of the joint support of
+    dom, ref and the attached form: `groups` are the components as
+    `linalg.components` gives them and `blocks` the per-group stacks. Every
+    cutoff is the whole family's. cutoff is the rank cutoff
+    rank_rel * lambda_max(G) and rank the number of eigenvalues of G above it.
+
+    The dense matrices are assembled from the blocks on first use (on a single
+    component they are views of its one block): gram_half is the PSD square
+    root of G, range_proj the orthogonal projector onto range(G), ref_kernel
+    an orthonormal basis of ker(ref) at the family cutoff, ref_kernel_image
+    one of gram_half @ ker(ref) (directions of singular mass), ac_proj the
     projector onto range(G) minus that span, and contraction the norm <= 1
     representation G^(+1/2) A G^(+1/2) of an attached dominated form (None
     when no form is attached).
@@ -55,12 +101,40 @@ class QuotientContext:
     ref: np.ndarray
     cutoff: float
     rank: int
-    gram_half: np.ndarray
-    range_proj: np.ndarray
-    ref_kernel: np.ndarray
-    ref_kernel_image: np.ndarray
-    ac_proj: np.ndarray
-    contraction: np.ndarray | None
+    groups: list[np.ndarray]
+    blocks: list[ComponentBlocks]
+
+    def _dense(self, name: str) -> np.ndarray:
+        stacks = [getattr(blk, name) for blk in self.blocks]
+        return _freeze(scatter(stacks, self.groups, self.dom.shape[0]))
+
+    def _dense_columns(self, name: str) -> np.ndarray:
+        stacks = [getattr(blk, name) for blk in self.blocks]
+        return _freeze(scatter_columns(stacks, self.groups, self.dom.shape[0]))
+
+    @cached_property
+    def gram_half(self) -> np.ndarray:
+        return self._dense("gram_half")
+
+    @cached_property
+    def range_proj(self) -> np.ndarray:
+        return self._dense("range_proj")
+
+    @cached_property
+    def ac_proj(self) -> np.ndarray:
+        return self._dense("ac_proj")
+
+    @cached_property
+    def contraction(self) -> np.ndarray | None:
+        return None if self.blocks[0].contraction is None else self._dense("contraction")
+
+    @cached_property
+    def ref_kernel(self) -> np.ndarray:
+        return self._dense_columns("ref_kernel")
+
+    @cached_property
+    def ref_kernel_image(self) -> np.ndarray:
+        return self._dense_columns("ref_kernel_image")
 
     @property
     def sing_proj(self) -> np.ndarray:
@@ -108,12 +182,15 @@ def _freeze(A: np.ndarray) -> np.ndarray:
 
 
 def _orthonormal_image(M: np.ndarray, cutoff: float) -> np.ndarray:
-    """Orthonormal basis of the numerically significant column span of M."""
-    if M.shape[1] == 0:
-        return np.zeros((M.shape[0], 0), dtype=complex)
+    """Orthonormal bases of the numerically significant column spans of a
+    stack M (b, m, r), as a (b, m, s) stack zero-padded to the largest rank.
+
+    Singular values come out descending, so each basis is a prefix of U.
+    """
+    if M.shape[-1] == 0:
+        return M
     U, s, _ = np.linalg.svd(M, full_matrices=False)
-    rank = int(np.count_nonzero(s > cutoff))
-    return U[:, :rank]
+    return leading_columns(U, s > cutoff)
 
 
 def build_context(
@@ -126,6 +203,8 @@ def build_context(
 
     When `form` is given it must be dominated by `dominating` (checked; raises
     NotDominating otherwise) and the context carries its norm <= 1 contraction.
+    The work runs once per group of equal-size connected components of the
+    joint support, each group as one stacked call.
     """
     if dominating.dim != ref.dim:
         raise DimensionMismatch(
@@ -134,55 +213,73 @@ def build_context(
     for name, nonneg in (("dominating form", dominating), ("reference form", ref)):
         if not nonneg.psd_at(tol):
             raise NotPSD(f"{name} must be PSD")
-    if form is not None:
-        if form.dim != ref.dim:
-            raise DimensionMismatch(f"dimension mismatch: {form.dim} vs {ref.dim}")
-        if not is_dominating(dominating, form, tol):
+    S, W = dominating.matrix, ref.matrix
+    n = S.shape[0]
+    if form is None:
+        groups = joint_groups(dominating, W)
+        forms = [None] * len(groups)
+    else:
+        if form.dim != n:
+            raise DimensionMismatch(f"dimension mismatch: {form.dim} vs {n}")
+        groups = joint_groups(dominating, W, form.matrix)
+        forms = gather(form.matrix, groups)
+        if not dominates(dominating.block_eigenpairs(groups), forms, n, tol):
             raise NotDominating("the supplied form is not dominated by `dominating`")
 
-    S, W = dominating.matrix, ref.matrix
-    G = hermitize(S + W)
-    lam, V = np.linalg.eigh(G)
-    lam = np.clip(lam, 0.0, None)
-    cutoff = tol.rank_rel * lam[-1]
-    kept = lam > cutoff
-    half = np.where(kept, np.sqrt(lam), 0.0)
-    Ghalf = hermitize((V * half) @ V.conj().T)
-    Gph = eig_pinv_sqrt(lam, V, cutoff)
-    range_proj = hermitize((V * kept.astype(float)) @ V.conj().T)
-
-    # a part whose whole mass sits below the family cutoff is null, even
-    # though its own largest eigenvalue would make it look full rank
-    ref_lam, ref_V = ref.eigenpairs
-    ref_kernel = ref_V[:, ref_lam <= cutoff]
+    doms, refs = gather(S, groups), gather(W, groups)
+    eigs = [psd_eigh(S_b + W_b) for S_b, W_b in zip(doms, refs)]
+    # one cutoff for the whole family: a part whose whole mass sits below it
+    # is null, even though its own largest eigenvalue would make it look full
+    # rank (this holds for a component as for a part)
+    lam_max = top_eigenvalue(eigs)
+    cutoff = tol.rank_rel * lam_max
     # Directions of G-mass below the rank cutoff collapse to zero in the
     # quotient; in the square-root metric that cutoff is sqrt(rank_rel)*||G^1/2||.
-    image_cutoff = np.sqrt(tol.rank_rel) * float(half.max(initial=0.0))
-    Vimg = _orthonormal_image(Ghalf @ ref_kernel, image_cutoff)
-    Phat = hermitize(range_proj - Vimg @ Vimg.conj().T)
+    image_cutoff = np.sqrt(tol.rank_rel) * np.sqrt(lam_max)
 
-    That = Gph @ form.matrix @ Gph if form is not None else None
+    blocks, rank = [], 0
+    for (lam, V), (ref_lam, ref_V), S_b, W_b, A_b in zip(
+        eigs, ref.block_eigenpairs(groups), doms, refs, forms
+    ):
+        kept = lam > cutoff
+        rank += int(np.count_nonzero(kept))
+        Vh = V.conj().swapaxes(-1, -2)
+        Ghalf = hermitize((V * np.where(kept, np.sqrt(lam), 0.0)[..., None, :]) @ Vh)
+        range_proj = hermitize((V * kept.astype(float)[..., None, :]) @ Vh)
+        ref_kernel = leading_columns(ref_V, ref_lam <= cutoff)
+        Vimg = _orthonormal_image(Ghalf @ ref_kernel, image_cutoff)
+        Phat = hermitize(range_proj - Vimg @ Vimg.conj().swapaxes(-1, -2))
+        That = None
+        if A_b is not None:
+            Gph = eig_pinv_sqrt(lam, V, cutoff)
+            That = _freeze(Gph @ A_b @ Gph)
+        blocks.append(
+            ComponentBlocks(
+                dom=S_b,
+                ref=W_b,
+                gram_half=_freeze(Ghalf),
+                range_proj=_freeze(range_proj),
+                ref_kernel=_freeze(ref_kernel),
+                ref_kernel_image=_freeze(Vimg),
+                ac_proj=_freeze(Phat),
+                contraction=That,
+            )
+        )
     return QuotientContext(
-        dom=S,
-        ref=W,
-        cutoff=cutoff,
-        rank=int(np.count_nonzero(kept)),
-        gram_half=_freeze(Ghalf),
-        range_proj=_freeze(range_proj),
-        ref_kernel=_freeze(ref_kernel),
-        ref_kernel_image=_freeze(Vimg),
-        ac_proj=_freeze(Phat),
-        contraction=_freeze(That) if That is not None else None,
+        dom=S, ref=W, cutoff=cutoff, rank=rank, groups=groups, blocks=blocks
     )
 
 
 def _split_from_context(ctx: QuotientContext) -> NonNegSplit:
-    ac_plus_ref = hermitize(ctx.gram_half @ ctx.ac_proj @ ctx.gram_half)
-    ac = hermitize(ac_plus_ref - ctx.ref)
-    sing = hermitize((ctx.dom + ctx.ref) - ac_plus_ref)
+    ac, sing = [], []
+    for blk in ctx.blocks:
+        ac_plus_ref = hermitize(blk.gram_half @ blk.ac_proj @ blk.gram_half)
+        ac.append(hermitize(ac_plus_ref - blk.ref))
+        sing.append(hermitize((blk.dom + blk.ref) - ac_plus_ref))
+    n = ctx.dom.shape[0]
     return NonNegSplit(
-        absolutely_continuous=NonNegativeForm(ac),
-        singular=NonNegativeForm(sing),
+        absolutely_continuous=NonNegativeForm(scatter(ac, ctx.groups, n), groups=ctx.groups),
+        singular=NonNegativeForm(scatter(sing, ctx.groups, n), groups=ctx.groups),
         gram_rank=ctx.rank,
     )
 
@@ -222,19 +319,27 @@ def decompose(
     the second, the second the other way around.
     """
     ctx = build_context(dominating, ref, form=form, tol=tol)
-    Gh, T = ctx.gram_half, ctx.contraction
-    P, Q = ctx.ac_proj, ctx.sing_proj
-    regular = Gh @ P @ T @ P @ Gh
-    cross_qp = Gh @ Q @ T @ P @ Gh
-    cross_pq = Gh @ P @ T @ Q @ Gh
-    strongly_singular = Gh @ Q @ T @ Q @ Gh
+    regular, cross_qp, cross_pq, strongly_singular = [], [], [], []
+    for blk in ctx.blocks:
+        Gh, T = blk.gram_half, blk.contraction
+        P, Q = blk.ac_proj, blk.range_proj - blk.ac_proj
+        # left to right, as Gh @ X @ T @ Y @ Gh groups, sharing Gh @ X @ T
+        GhPT, GhQT = Gh @ P @ T, Gh @ Q @ T
+        regular.append(GhPT @ P @ Gh)
+        cross_qp.append(GhQT @ P @ Gh)
+        cross_pq.append(GhPT @ Q @ Gh)
+        strongly_singular.append(GhQT @ Q @ Gh)
+
+    def assemble(stacks):
+        return SesquilinearForm(scatter(stacks, ctx.groups, form.dim))
+
     parts = None
     if with_cross_terms:
-        parts = (SesquilinearForm(cross_qp), SesquilinearForm(cross_pq))
+        parts = (assemble(cross_qp), assemble(cross_pq))
     return TripleDecomposition(
-        regular=SesquilinearForm(regular),
-        mixed=SesquilinearForm(cross_qp + cross_pq),
-        strongly_singular=SesquilinearForm(strongly_singular),
+        regular=assemble(regular),
+        mixed=assemble([qp + pq for qp, pq in zip(cross_qp, cross_pq)]),
+        strongly_singular=assemble(strongly_singular),
         witnesses=_split_from_context(ctx),
         mixed_parts=parts,
     )
@@ -248,8 +353,13 @@ def _rank_at(lam: np.ndarray, cutoff: float) -> int:
     return int(np.count_nonzero(lam > cutoff))
 
 
+def _dom_norm(ctx: QuotientContext) -> float:
+    """||dom||, the largest norm over the context's blocks."""
+    return max(operator_norm(blk.dom) for blk in ctx.blocks)
+
+
 def _is_zero_matrix(M: np.ndarray, tol: Tolerance, scale: float) -> bool:
-    return float(np.max(np.abs(M))) <= M.shape[0] * tol.cmp_abs * max(1.0, scale)
+    return float(np.abs(M).max()) <= M.shape[0] * tol.cmp_abs * max(1.0, scale)
 
 
 def ac_extremal_check(
@@ -290,9 +400,11 @@ def is_absolutely_continuous(
     """
     ctx = build_context(sigma, ref, tol=tol)
     split = _split_from_context(ctx)
-    scale = operator_norm(sigma.matrix)
+    scale = _dom_norm(ctx)
     via_split = _is_zero_matrix(split.singular.matrix, tol, scale)
-    via_kernel = annihilates(sigma.matrix, ctx.ref_kernel, tol)
+    via_kernel = all(
+        annihilates(blk.dom, blk.ref_kernel, tol, scale, sigma.dim) for blk in ctx.blocks
+    )
     if via_split != via_kernel:
         raise InconsistentRank(
             "absolute-continuity criteria disagree (split vs kernel inclusion); "
@@ -312,7 +424,7 @@ def is_singular_nonneg(
     """
     ctx = build_context(sigma, ref, tol=tol)
     split = _split_from_context(ctx)
-    scale = operator_norm(sigma.matrix)
+    scale = _dom_norm(ctx)
     via_split = _is_zero_matrix(split.absolutely_continuous.matrix, tol, scale)
     via_rank = ctx.rank == _rank_at(sigma.spectrum, ctx.cutoff) + _rank_at(
         ref.spectrum, ctx.cutoff
@@ -404,7 +516,7 @@ def singularity_sufficient(
         K = kernel_basis(M, tol)
         if K.shape[1] == 0:
             continue
-        image_rank = _orthonormal_image(Whalf @ K, cutoff).shape[1]
+        image_rank = _orthonormal_image(Whalf @ K, cutoff).shape[-1]
         if image_rank == ref_rank:
             return True
     return False

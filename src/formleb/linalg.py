@@ -3,6 +3,14 @@
 Every rank decision in the package goes through the single relative cutoff
 ``rank_rel * lambda_max`` defined here, so kernels and ranges computed for
 different matrices stay mutually consistent.
+
+Block-diagonal structure is found by `components`: the connected components of
+the joint support graph of a family of matrices, grouped by size. Each group
+of equal-size diagonal blocks is handled as one (b, m, m) stack, because
+numpy's eigh, svd and matmul all take stacks; `gather` cuts the stacks out of
+a matrix and `scatter` puts them back. On a single component the "stack" is
+the n x n matrix itself, so the block code runs the dense arithmetic
+unchanged; block code therefore indexes from the end (``[..., -1]``).
 """
 
 from __future__ import annotations
@@ -50,12 +58,144 @@ def as_complex_matrix(value, name: str = "matrix") -> np.ndarray:
 
 
 def hermitize(A: np.ndarray) -> np.ndarray:
-    """Symmetrized copy (A + A*) / 2; kills round-off asymmetry before eigh."""
-    return (A + A.conj().T) / 2.0
+    """Symmetrized copy (A + A*) / 2 of a matrix or of each matrix in a stack;
+    kills round-off asymmetry before eigh."""
+    return (A + A.conj().swapaxes(-1, -2)) / 2.0
+
+
+def _support(M: np.ndarray) -> np.ndarray:
+    """Nonzero pattern of a complex matrix, from float compares (complex ones are slow)."""
+    nonzero = np.ascontiguousarray(M, dtype=complex).view(np.float64) != 0
+    return nonzero.view(np.uint16) != 0  # real and imaginary flag of one entry
+
+
+def components(*matrices: np.ndarray) -> list[np.ndarray]:
+    """Connected components of the joint support graph of n x n matrices.
+
+    Indices i and j are joined when some matrix has a nonzero (i, j) or (j, i)
+    entry. The components come back grouped by size m, ascending, as one int
+    array of shape (b, m) per size; each row lists one component's indices in
+    ascending order. When some matrix has no zero in row 0, index 0 is joined
+    to every index and that check alone answers ``[arange(n)[None]]``;
+    otherwise the search costs O(n^2).
+    """
+    n = matrices[0].shape[0]
+    for M in matrices:
+        if np.count_nonzero(M[0]) == n:
+            return [np.arange(n)[None, :]]
+    linked = _support(matrices[0])
+    for M in matrices[1:]:
+        linked |= _support(M)
+    np.fill_diagonal(linked, False)
+    active = np.flatnonzero(linked.any(axis=0) | linked.any(axis=1))
+    if not active.size:
+        return [np.arange(n)[:, None]]
+    label = np.arange(n)  # each component is labelled by its smallest index
+    sub = linked[np.ix_(active, active)]
+    sub = sub | sub.T
+    free = np.ones(active.size, dtype=bool)
+    while free.any():
+        start = int(np.argmax(free))
+        comp = np.zeros(active.size, dtype=bool)
+        comp[start] = True
+        frontier = comp
+        while frontier.any():
+            frontier = sub[frontier].any(axis=0) & ~comp
+            comp |= frontier
+        free &= ~comp
+        label[active[comp]] = active[start]
+    sizes = np.bincount(label, minlength=n)
+    sizes = sizes[sizes > 0]  # in order of the labels
+    order = np.argsort(label, kind="stable")
+    starts = np.cumsum(sizes) - sizes
+    return [order[starts[sizes == m][:, None] + np.arange(m)] for m in np.unique(sizes)]
+
+
+def is_whole(groups: list[np.ndarray], n: int) -> bool:
+    """Whether `groups` (as `components` returns them) is the single component."""
+    return groups[0].shape[1] == n
+
+
+def gather(M: np.ndarray, groups: list[np.ndarray]) -> list[np.ndarray]:
+    """The diagonal blocks of M on `groups`, one (b, m, m) stack per group;
+    ``[M]`` on the single component."""
+    if groups[0].shape[1] == M.shape[0]:
+        return [M]
+    return [M[idx[:, :, None], idx[:, None, :]] for idx in groups]
+
+
+def scatter(blocks: list[np.ndarray], groups: list[np.ndarray], n: int) -> np.ndarray:
+    """The n x n matrix with the given block stacks on `groups`, zero elsewhere.
+
+    The inverse of `gather`.
+    """
+    if groups[0].shape[1] == n:
+        return blocks[0]
+    out = np.zeros((n, n), dtype=complex)
+    for idx, X in zip(groups, blocks):
+        out[idx[:, :, None], idx[:, None, :]] = X
+    return out
+
+
+def scatter_columns(blocks: list[np.ndarray], groups: list[np.ndarray], n: int) -> np.ndarray:
+    """The n x c matrix of every nonzero column of every block, placed at the
+    block's rows and zero elsewhere, block after block.
+
+    Zero columns are the padding `leading_columns` adds; a column of an
+    orthonormal set is never zero.
+    """
+    if groups[0].shape[1] == n:
+        return blocks[0]
+    parts = []
+    for idx, X in zip(groups, blocks):
+        bi, ci = np.nonzero((X != 0).any(axis=-2))
+        col = np.zeros((n, bi.size), dtype=complex)
+        col[idx[bi].T, np.arange(bi.size)] = X[bi, :, ci].T
+        parts.append(col)
+    return np.concatenate(parts, axis=1)
+
+
+def leading_columns(V: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """The columns of V where mask holds, or of each V[i] in a (b, m, m) stack
+    where mask[i] holds.
+
+    Every mask[i] must be a prefix (a cutoff on sorted values); the result is
+    a (b, m, k) stack zero-padded to the longest prefix k.
+    """
+    if mask.ndim == 1:
+        return V[:, mask]
+    union = mask.any(axis=0)
+    return np.where(mask[:, None, union], V[..., union], 0.0)
+
+
+def top_eigenvalue(eigs: list[tuple[np.ndarray, np.ndarray]]) -> float:
+    """The largest eigenvalue over per-group eigensystems with ascending rows
+    (eigenvalues clipped at 0)."""
+    top = 0.0
+    for lam, _ in eigs:
+        top = max(top, float(lam[-1] if lam.ndim == 1 else lam[:, -1].max()))
+    return top
+
+
+def psd_eigh(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigensystem of the symmetrized H, or of each matrix in a stack, with
+    ascending eigenvalues clipped at 0."""
+    lam, V = np.linalg.eigh(hermitize(H))
+    return np.clip(lam, 0.0, None), V
+
+
+def block_eigvalsh(blocks: list[np.ndarray]) -> np.ndarray:
+    """Ascending eigenvalues of the symmetrized matrix whose blocks (as
+    `gather` gives them, one entry per group) are `blocks`."""
+    if blocks[0].ndim == 2:
+        return np.linalg.eigvalsh(hermitize(blocks[0]))
+    lam = [np.linalg.eigvalsh(hermitize(B)).ravel() for B in blocks]
+    return np.sort(np.concatenate(lam))
 
 
 def max_asymmetry(A: np.ndarray) -> float:
-    return float(np.max(np.abs(A - A.conj().T)))
+    """max |A - A*| over a matrix or a stack of them."""
+    return float(np.abs(A - A.conj().swapaxes(-1, -2)).max())
 
 
 def _psd_spectrum(H, tol: Tolerance, name: str):
@@ -87,14 +227,15 @@ def pinv_sqrt(H, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 
 
 def eig_pinv_sqrt(lam: np.ndarray, V: np.ndarray, cutoff: float) -> np.ndarray:
-    """Pseudo-inverse square root from an eigensystem (lam clipped at 0).
+    """Pseudo-inverse square root from an eigensystem (lam clipped at 0), or
+    from a stack of them.
 
     Eigenvalues at or below the absolute `cutoff` invert to 0.
     """
     inv = np.zeros_like(lam)
     kept = lam > cutoff
     inv[kept] = 1.0 / np.sqrt(lam[kept])
-    return hermitize((V * inv) @ V.conj().T)
+    return hermitize((V * inv[..., None, :]) @ V.conj().swapaxes(-1, -2))
 
 
 def kernel_basis(A, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -120,25 +261,37 @@ def is_psd(H, tol: Tolerance = DEFAULT_TOL) -> bool:
 
 
 def operator_norm(A) -> float:
-    """Largest singular value (rectangular inputs allowed)."""
+    """Largest singular value of a matrix, or the largest over a stack of
+    matrices (rectangular inputs allowed)."""
     M = np.asarray(A, dtype=complex)
-    if M.ndim != 2:
+    if M.ndim < 2:
         raise DimensionMismatch(f"operator_norm expects a matrix, got shape {M.shape}")
     if 0 in M.shape:
         return 0.0
     if not np.isfinite(M).all():
         raise NonFinite("matrix contains non-finite entries")
-    return float(np.linalg.svd(M, compute_uv=False)[0])
+    s = np.linalg.svd(M, compute_uv=False)
+    return float(s[0] if s.ndim == 1 else s[:, 0].max())
 
 
-def annihilates(A: np.ndarray, K: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
+def annihilates(
+    A: np.ndarray,
+    K: np.ndarray,
+    tol: Tolerance = DEFAULT_TOL,
+    norm: float | None = None,
+    n: int | None = None,
+) -> bool:
     """Whether A sends every column of K to (numerical) zero.
 
-    K is expected orthonormal; residuals are compared against
-    ``n * rank_rel * max(1, ||A||)`` so the decision is consistent with the
-    kernel cutoff policy.
+    K is expected orthonormal. A and K may also be matching stacks of the
+    diagonal blocks of an n x n pair. Residuals are compared against
+    ``n * rank_rel * max(1, norm)``, with norm defaulting to ||A|| and n to
+    the size of A, so the decision is consistent with the kernel cutoff
+    policy.
     """
-    if K.shape[1] == 0:
+    if K.shape[-1] == 0:
         return True
-    threshold = A.shape[0] * tol.rank_rel * max(1.0, operator_norm(A))
-    return float(np.max(np.abs(A @ K))) <= threshold
+    if norm is None:
+        norm = operator_norm(A)
+    n = A.shape[-1] if n is None else n
+    return float(np.abs(A @ K).max()) <= n * tol.rank_rel * max(1.0, norm)

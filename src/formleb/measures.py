@@ -154,8 +154,9 @@ def decompose_via_forms(
     _require_same_space(mu, nu)
     _require_reference(nu)
     form = induced_form(mu)
-    dominating = NonNegativeForm(np.diag(np.abs(mu.values)).astype(complex))
-    ref = NonNegativeForm(np.diag(nu.values.real).astype(complex))
+    atoms = [np.arange(mu.space.k)[:, None]]  # every atom its own block
+    dominating = NonNegativeForm(np.diag(np.abs(mu.values)).astype(complex), groups=atoms)
+    ref = NonNegativeForm(np.diag(nu.values.real).astype(complex), groups=atoms)
     triple = decompose(form, ref, dominating, tol)
     ac_values = np.diag(triple.regular.matrix).copy()
     sing_values = np.diag(

@@ -50,11 +50,11 @@ def _forms():
 
 
 BUDGET = {
-    "decompose": (lambda f: decompose(f.T, f.OMEGA, f.SIGMA), 9),
+    "decompose": (lambda f: decompose(f.T, f.OMEGA, f.SIGMA), 8),
     "decompose_nonneg": (lambda f: decompose_nonneg(f.SIGMA, f.OMEGA), 5),
     "is_absolutely_continuous": (
         lambda f: is_absolutely_continuous(f.SIGMA, f.OMEGA),
-        7,
+        6,
     ),
     "is_singular_nonneg": (lambda f: is_singular_nonneg(f.SIGMA, f.OMEGA), 6),
     "is_bounded_by": (lambda f: is_bounded_by(f.T, f.OMEGA), 2),
@@ -71,23 +71,41 @@ BUDGET = {
 
 @pytest.fixture
 def factorizations(monkeypatch):
-    """Counts calls of numpy.linalg.eigh, eigvalsh and svd while active."""
-    count = [0]
+    """Records the matrix (or stack) shape of every call of numpy.linalg.eigh,
+    eigvalsh and svd while active."""
+    shapes = []
     for name in ("eigh", "eigvalsh", "svd"):
         original = getattr(np.linalg, name)
 
         def counted(*args, _original=original, **kwargs):
-            count[0] += 1
+            shapes.append(np.shape(args[0]))
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
-    return count
+    return shapes
 
 
 @pytest.mark.parametrize("operation", list(BUDGET))
 def test_factorizations_within_budget(operation, factorizations):
     run, budget = BUDGET[operation]
     forms = _forms()
-    factorizations[0] = 0
+    factorizations.clear()
     run(forms)
-    assert factorizations[0] <= budget
+    assert len(factorizations) <= budget
+
+
+def test_measure_path_factors_atoms_only(factorizations):
+    """Induced measure forms are diagonal: on k = 64 atoms every factorization
+    sees 1x1 blocks (as one stack), and the count stays within the budget."""
+    rng = np.random.default_rng(64)
+    k = 64
+    space = AtomicMeasureSpace(tuple(f"a{i}" for i in range(k)))
+    nu = rng.uniform(0.1, 1.0, k)
+    nu[rng.permutation(k)[: k // 3]] = 0.0
+    mu = ComplexMeasure(space, rng.standard_normal(k) + 1j * rng.standard_normal(k))
+    nu = ComplexMeasure(space, nu)
+    factorizations.clear()
+    decompose_via_forms(mu, nu)
+    assert factorizations
+    assert all(max(shape[-2:]) <= 1 for shape in factorizations), factorizations
+    assert len(factorizations) <= BUDGET["decompose_via_forms"][1]
