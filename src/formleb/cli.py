@@ -45,6 +45,7 @@ from .measures import AtomicMeasureSpace, ComplexMeasure, decompose_via_forms
 from .selftest import run_selftest
 
 ENV_TOL = "FORMLEB_TOL"
+NUMERICAL_FAILURE = "NUMERICAL_FAILURE"  # error code of a LinAlgError from numpy
 
 KINDS = ("decompose", "decompose-nonneg", "classify", "check", "dominate", "measure")
 MATRIX_KEYS = ("t", "omega", "sigma", "alpha", "beta")
@@ -454,16 +455,22 @@ def run_command(
         "dominate": _run_dominate,
         "measure": _run_measure,
     }
-    try:
-        results, diagnostics = runners[cmd](problem)
-    except FormLebError as exc:
+
+    def domain_error(code: str, exc: Exception) -> ResultOutput:
         return ResultOutput(
             problem.input_sha256,
             "error",
-            {"code": exc.code, "message": str(exc)},
+            {"code": code, "message": str(exc)},
             {},
             {"tolerance": _tol_diag(problem.tol)},
         )
+
+    try:
+        results, diagnostics = runners[cmd](problem)
+    except FormLebError as exc:
+        return domain_error(exc.code, exc)
+    except np.linalg.LinAlgError as exc:  # LAPACK gave no answer (say, no SVD convergence)
+        return domain_error(NUMERICAL_FAILURE, exc)
     diagnostics["tolerance"] = _tol_diag(problem.tol)
     return ResultOutput(problem.input_sha256, "ok", None, results, diagnostics)
 

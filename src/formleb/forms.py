@@ -2,14 +2,15 @@
 
 A form is represented by its matrix A in the standard basis through
 ``t(phi, psi) = psi* A phi`` (linear in the first argument, conjugate-linear
-in the second). The module provides evaluation, adjoint/real/imaginary parts,
+in the second), stored as A's diagonal blocks on a partition of the indices
+that A is block-diagonal on. The module provides evaluation, adjoint/real/imaginary parts,
 domination tests, construction of a dominating non-negative form, value-set
 classification and boundedness relative to a reference form.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -19,18 +20,23 @@ from .linalg import (
     DEFAULT_TOL,
     Tolerance,
     annihilates,
-    as_complex_matrix,
+    as_square_matrix,
     block_eigvalsh,
     components,
     eig_pinv_sqrt,
+    freeze,
     gather,
     hermitize,
     is_psd,
     is_whole,
+    join,
     leading_columns,
     max_asymmetry,
     operator_norm,
     psd_eigh,
+    require_finite,
+    same_partition,
+    scatter,
     scatter_columns,
     top_eigenvalue,
 )
@@ -43,20 +49,79 @@ def _as_vector(value, n: int, name: str) -> np.ndarray:
     return x
 
 
-@dataclass(frozen=True)
 class SesquilinearForm:
-    """Sesquilinear form t(phi, psi) = psi* A phi on C^n."""
+    """Sesquilinear form t(phi, psi) = psi* A phi on C^n.
 
-    matrix: np.ndarray
+    The form is stored as blocks: `groups` is a partition of the indices that
+    A is block-diagonal on (as `linalg.components` returns it) and `blocks`
+    holds A's read-only diagonal blocks on it, one (b, m, m) stack per group,
+    or the n x n matrix itself when the one group is every index. `matrix` is
+    the dense A, read-only, assembled from the blocks on first read and kept;
+    a form built from a dense matrix keeps that matrix.
+
+    A form built from a dense matrix is one group and runs no component
+    search; `joint_groups` searches its support when the engine needs it.
+    Forms are immutable: no attribute can be assigned and every array is
+    read-only.
+    """
+
+    def __init__(self, matrix):
+        A = as_square_matrix(matrix, "form matrix").copy()
+        A.flags.writeable = False
+        n = A.shape[0]
+        self._store([np.arange(n)[None, :]], [A], n, matrix=A, searched=False)
+        self.__post_init__()
+
+    @classmethod
+    def from_blocks(cls, groups: list[np.ndarray], blocks: list[np.ndarray], n: int):
+        """The form on C^n whose diagonal blocks on `groups` are `blocks` and
+        whose every other entry is zero; validated as the constructor does.
+
+        Internal: the engine and the measure path build their forms this way,
+        so no n x n matrix is made unless `matrix` is read.
+        """
+        if is_whole(groups, n):  # the one block is the matrix itself
+            blocks = [blocks[0].reshape(n, n)]
+        form = cls.__new__(cls)
+        form._store(groups, [freeze(B) for B in blocks], n)
+        form.__post_init__()
+        return form
+
+    def _store(self, groups, blocks, n, matrix=None, searched=True):
+        # _searched: whether `groups` came from a component search or from
+        # the caller; False only for the one whole group of a form built
+        # from a matrix
+        self.__dict__.update(groups=groups, blocks=blocks, dim=n, _searched=searched)
+        if matrix is not None:
+            self.__dict__["matrix"] = matrix  # the value of the cached property
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def __post_init__(self):
-        A = as_complex_matrix(self.matrix, "form matrix").copy()
-        A.flags.writeable = False
-        object.__setattr__(self, "matrix", A)
+        """Validation that every constructor runs: all entries finite."""
+        for B in self.blocks:
+            require_finite(B, "form matrix")
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The dense matrix A (read-only)."""
+        return freeze(scatter(self.blocks, self.groups, self.dim))
+
+    def blocks_on(self, groups: list[np.ndarray]) -> list[np.ndarray]:
+        """The diagonal blocks on `groups`, a partition that `self.groups`
+        refines: the stored ones on that same partition, else cut from
+        `matrix`."""
+        if same_partition(groups, self.groups):
+            return self.blocks
+        return gather(self.matrix, groups)
+
+    def diagonal(self) -> np.ndarray:
+        """The diagonal of A, read from the blocks."""
+        out = np.zeros(self.dim, dtype=complex)
+        for idx, X in zip(self.groups, self.blocks):
+            out[idx] = np.diagonal(X, axis1=-2, axis2=-1)
+        return out
 
     def evaluate(self, phi, psi) -> complex:
         """t(phi, psi); linear in phi, conjugate-linear in psi."""
@@ -90,36 +155,38 @@ class SesquilinearForm:
         return SesquilinearForm(complex(scalar) * self.matrix)
 
 
-@dataclass(frozen=True)
 class NonNegativeForm(SesquilinearForm):
     """Sesquilinear form with t[phi] >= 0 for every phi (PSD matrix).
 
-    The constructor validates the matrix once and keeps what it computed:
-    `asymmetry` is max |A - A*| and `spectrum` the ascending eigenvalues of
-    the symmetrized matrix, so `psd_at` answers for any tolerance without
-    factoring again. `eigenpairs` is factored on first use and kept; every
-    kernel, root and rank of the form is read from it. Both are factored per
-    block of `groups`, a partition of the indices the matrix is block-diagonal
-    on (as `linalg.components` returns it), so a diagonal matrix costs no
-    n x n factorization. `groups` defaults to the connected components of the
-    matrix's support; a caller that already knows a valid partition passes it.
+    `groups` defaults to the connected components of the matrix's support; a
+    caller that already knows a valid partition passes it. `__post_init__`
+    validates every form, however it was built, once and per block: finite
+    entries, `asymmetry` (max |A - A*|) and `spectrum` (the ascending
+    eigenvalues of the symmetrized matrix), so `psd_at` answers for any
+    tolerance without factoring again. `eigenpairs` is factored on first use
+    and kept; every kernel, root and rank of the form is read from it. A
+    diagonal matrix therefore costs no n x n factorization, and its 1 x 1
+    blocks no LAPACK call.
     """
 
-    groups: list[np.ndarray] | None = field(default=None, repr=False, compare=False, kw_only=True)
-    asymmetry: float = field(init=False, repr=False, compare=False)
-    spectrum: np.ndarray = field(init=False, repr=False, compare=False)
+    def __init__(self, matrix, *, groups: list[np.ndarray] | None = None):
+        A = as_square_matrix(matrix, "form matrix").copy()
+        A.flags.writeable = False
+        if groups is None:
+            groups = components(A)
+        blocks = gather(A, groups)
+        for B in blocks:
+            B.flags.writeable = False
+        self._store(groups, blocks, A.shape[0], matrix=A)
+        self.__post_init__()
 
     def __post_init__(self):
         super().__post_init__()
-        if self.groups is None:
-            object.__setattr__(self, "groups", components(self.matrix))
-        # entries off the blocks are zero, so the blocks hold all of A - A*
-        blocks = gather(self.matrix, self.groups)
-        object.__setattr__(self, "asymmetry", max(map(max_asymmetry, blocks)))
+        self.__dict__["asymmetry"] = max(map(max_asymmetry, self.blocks))
         if self.asymmetry <= DEFAULT_TOL.cmp_abs:
-            lam = block_eigvalsh(blocks)
+            lam = block_eigvalsh(self.blocks)
             lam.flags.writeable = False
-            object.__setattr__(self, "spectrum", lam)
+            self.__dict__["spectrum"] = lam
         if not self.psd_at(DEFAULT_TOL):
             raise NotPSD("matrix of a non-negative form must be positive semidefinite")
 
@@ -131,13 +198,18 @@ class NonNegativeForm(SesquilinearForm):
         return bool(self.spectrum[0] >= -tol.psd_abs)
 
     @cached_property
+    def _own_eigenpairs(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Eigensystems of the stored blocks, when there is more than one."""
+        return [psd_eigh(B) for B in self.blocks]
+
+    @cached_property
     def eigenpairs(self) -> tuple[np.ndarray, np.ndarray]:
         """Read-only (ascending eigenvalues clipped at 0, eigenvectors) of the
         symmetrized matrix. Threads racing on first use compute the same value."""
         if is_whole(self.groups, self.dim):
             lam, V = psd_eigh(self.matrix)
         else:
-            pairs = self.block_eigenpairs(self.groups)
+            pairs = self._own_eigenpairs
             lam = np.concatenate([block_lam.ravel() for block_lam, _ in pairs])
             V = scatter_columns([V for _, V in pairs], self.groups, self.dim)
             order = np.argsort(lam, kind="stable")
@@ -152,7 +224,9 @@ class NonNegativeForm(SesquilinearForm):
         the one group is the matrix itself, with the kept `eigenpairs`."""
         if is_whole(groups, self.dim):
             return [self.eigenpairs]
-        return [psd_eigh(B) for B in gather(self.matrix, groups)]
+        if same_partition(groups, self.groups):
+            return self._own_eigenpairs
+        return [psd_eigh(B) for B in self.blocks_on(groups)]
 
     def kernel(self, tol: Tolerance) -> np.ndarray:
         """Orthonormal kernel basis at the form's own cutoff rank_rel * lambda_max."""
@@ -245,20 +319,30 @@ def dominates(
     return norm is not None and norm <= 1.0 + tol.psd_abs
 
 
-def joint_groups(W: NonNegativeForm, *matrices: np.ndarray) -> list[np.ndarray]:
-    """The connected components of the joint support of W and `matrices`
-    (see `linalg.components`); W's own groups when W is one component, since
-    the family then is one too."""
-    if is_whole(W.groups, W.dim):
-        return W.groups
-    return components(W.matrix, *matrices)
+def joint_groups(*forms: SesquilinearForm) -> list[np.ndarray]:
+    """The connected components of the joint support of `forms` (see
+    `linalg.components`), from the partitions the forms carry.
+
+    The support of a form built from a dense matrix is searched here, and
+    only when no other form is one component already (the family then is one
+    too); forms stored as singletons join in O(n).
+    """
+    n = forms[0].dim
+    known = [form.groups for form in forms if form._searched]
+    for groups in known:
+        if is_whole(groups, n):
+            return groups
+    dense = [form.matrix for form in forms if not form._searched]
+    if dense:
+        known.append(components(*dense))
+    return join(known, n)
 
 
-def _blocks_of(W: NonNegativeForm, A: np.ndarray):
-    """W's eigensystems and A's blocks on the connected components of the pair,
-    the first two arguments of `compressed_norm`."""
-    groups = joint_groups(W, A)
-    return W.block_eigenpairs(groups), gather(A, groups)
+def _blocks_of(W: NonNegativeForm, form: SesquilinearForm):
+    """W's eigensystems and the form's blocks on the connected components of
+    the pair, the first two arguments of `compressed_norm`."""
+    groups = joint_groups(W, form)
+    return W.block_eigenpairs(groups), form.blocks_on(groups)
 
 
 def is_dominating(
@@ -273,7 +357,7 @@ def is_dominating(
     _check_same_dim(sigma, form)
     if not sigma.psd_at(tol):
         raise NotPSD("dominating candidate must be PSD")
-    return dominates(*_blocks_of(sigma, form.matrix), sigma.dim, tol)
+    return dominates(*_blocks_of(sigma, form), sigma.dim, tol)
 
 
 def construct_dominating(
@@ -347,5 +431,5 @@ def is_bounded_by(
     _check_same_dim(form, ref)
     if not ref.psd_at(tol):
         raise NotPSD("reference form must be PSD")
-    norm = compressed_norm(*_blocks_of(ref, form.matrix), ref.dim, tol)
+    norm = compressed_norm(*_blocks_of(ref, form), ref.dim, tol)
     return (False, None) if norm is None else (True, norm)

@@ -45,7 +45,7 @@ from .linalg import (
     Tolerance,
     annihilates,
     eig_pinv_sqrt,
-    gather,
+    freeze,
     hermitize,
     kernel_basis,
     leading_columns,
@@ -82,23 +82,23 @@ class QuotientContext:
     """Precomputed spectral data of the combined metric G = dom + ref.
 
     The engine runs once per connected component of the joint support of
-    dom, ref and the attached form: `groups` are the components as
+    dom, ref and the attached form on C^n: `groups` are the components as
     `linalg.components` gives them and `blocks` the per-group stacks. Every
     cutoff is the whole family's. cutoff is the rank cutoff
     rank_rel * lambda_max(G) and rank the number of eigenvalues of G above it.
 
     The dense matrices are assembled from the blocks on first use (on a single
-    component they are views of its one block): gram_half is the PSD square
-    root of G, range_proj the orthogonal projector onto range(G), ref_kernel
-    an orthonormal basis of ker(ref) at the family cutoff, ref_kernel_image
-    one of gram_half @ ker(ref) (directions of singular mass), ac_proj the
-    projector onto range(G) minus that span, and contraction the norm <= 1
-    representation G^(+1/2) A G^(+1/2) of an attached dominated form (None
-    when no form is attached).
+    component they are its one block): dom and ref are the two forms'
+    matrices, gram_half the PSD square root of G, range_proj the orthogonal
+    projector onto range(G), ref_kernel an orthonormal basis of ker(ref) at
+    the family cutoff, ref_kernel_image one of gram_half @ ker(ref)
+    (directions of singular mass), ac_proj the projector onto range(G) minus
+    that span, and contraction the norm <= 1 representation
+    G^(+1/2) A G^(+1/2) of an attached dominated form (None when no form is
+    attached).
     """
 
-    dom: np.ndarray
-    ref: np.ndarray
+    n: int
     cutoff: float
     rank: int
     groups: list[np.ndarray]
@@ -106,11 +106,19 @@ class QuotientContext:
 
     def _dense(self, name: str) -> np.ndarray:
         stacks = [getattr(blk, name) for blk in self.blocks]
-        return _freeze(scatter(stacks, self.groups, self.dom.shape[0]))
+        return freeze(scatter(stacks, self.groups, self.n))
 
     def _dense_columns(self, name: str) -> np.ndarray:
         stacks = [getattr(blk, name) for blk in self.blocks]
-        return _freeze(scatter_columns(stacks, self.groups, self.dom.shape[0]))
+        return freeze(scatter_columns(stacks, self.groups, self.n))
+
+    @cached_property
+    def dom(self) -> np.ndarray:
+        return self._dense("dom")
+
+    @cached_property
+    def ref(self) -> np.ndarray:
+        return self._dense("ref")
 
     @cached_property
     def gram_half(self) -> np.ndarray:
@@ -135,11 +143,6 @@ class QuotientContext:
     @cached_property
     def ref_kernel_image(self) -> np.ndarray:
         return self._dense_columns("ref_kernel_image")
-
-    @property
-    def sing_proj(self) -> np.ndarray:
-        """Projector onto the singular-mass directions within range(G)."""
-        return self.range_proj - self.ac_proj
 
 
 @dataclass(frozen=True)
@@ -175,20 +178,22 @@ class TripleDecomposition:
     mixed_parts: tuple[SesquilinearForm, SesquilinearForm] | None = None
 
 
-def _freeze(A: np.ndarray) -> np.ndarray:
-    A = np.ascontiguousarray(A)
-    A.flags.writeable = False
-    return A
-
-
 def _orthonormal_image(M: np.ndarray, cutoff: float) -> np.ndarray:
     """Orthonormal bases of the numerically significant column spans of a
     stack M (b, m, r), as a (b, m, s) stack zero-padded to the largest rank.
 
-    Singular values come out descending, so each basis is a prefix of U.
+    Singular values come out descending, so each basis is a prefix of U. A
+    1 x 1 block a has the singular value |a| and the basis a / |a|, so a
+    stack of them needs no LAPACK call.
     """
     if M.shape[-1] == 0:
         return M
+    if M.shape[-2:] == (1, 1):
+        s = np.abs(M)
+        # real and imaginary parts divided by the real |a|, as LAPACK scales
+        # them: a complex division would not give exactly 1 for a real a > 0
+        parts = np.ascontiguousarray(M).view(np.float64) / np.where(s > 0.0, s, 1.0)
+        return leading_columns(parts.view(complex), s[..., 0] > cutoff)
     U, s, _ = np.linalg.svd(M, full_matrices=False)
     return leading_columns(U, s > cutoff)
 
@@ -213,20 +218,19 @@ def build_context(
     for name, nonneg in (("dominating form", dominating), ("reference form", ref)):
         if not nonneg.psd_at(tol):
             raise NotPSD(f"{name} must be PSD")
-    S, W = dominating.matrix, ref.matrix
-    n = S.shape[0]
+    n = dominating.dim
     if form is None:
-        groups = joint_groups(dominating, W)
+        groups = joint_groups(dominating, ref)
         forms = [None] * len(groups)
     else:
         if form.dim != n:
             raise DimensionMismatch(f"dimension mismatch: {form.dim} vs {n}")
-        groups = joint_groups(dominating, W, form.matrix)
-        forms = gather(form.matrix, groups)
+        groups = joint_groups(dominating, ref, form)
+        forms = form.blocks_on(groups)
         if not dominates(dominating.block_eigenpairs(groups), forms, n, tol):
             raise NotDominating("the supplied form is not dominated by `dominating`")
 
-    doms, refs = gather(S, groups), gather(W, groups)
+    doms, refs = dominating.blocks_on(groups), ref.blocks_on(groups)
     eigs = [psd_eigh(S_b + W_b) for S_b, W_b in zip(doms, refs)]
     # one cutoff for the whole family: a part whose whole mass sits below it
     # is null, even though its own largest eigenvalue would make it look full
@@ -252,22 +256,20 @@ def build_context(
         That = None
         if A_b is not None:
             Gph = eig_pinv_sqrt(lam, V, cutoff)
-            That = _freeze(Gph @ A_b @ Gph)
+            That = freeze(Gph @ A_b @ Gph)
         blocks.append(
             ComponentBlocks(
                 dom=S_b,
                 ref=W_b,
-                gram_half=_freeze(Ghalf),
-                range_proj=_freeze(range_proj),
-                ref_kernel=_freeze(ref_kernel),
-                ref_kernel_image=_freeze(Vimg),
-                ac_proj=_freeze(Phat),
+                gram_half=freeze(Ghalf),
+                range_proj=freeze(range_proj),
+                ref_kernel=freeze(ref_kernel),
+                ref_kernel_image=freeze(Vimg),
+                ac_proj=freeze(Phat),
                 contraction=That,
             )
         )
-    return QuotientContext(
-        dom=S, ref=W, cutoff=cutoff, rank=rank, groups=groups, blocks=blocks
-    )
+    return QuotientContext(n=n, cutoff=cutoff, rank=rank, groups=groups, blocks=blocks)
 
 
 def _split_from_context(ctx: QuotientContext) -> NonNegSplit:
@@ -276,10 +278,9 @@ def _split_from_context(ctx: QuotientContext) -> NonNegSplit:
         ac_plus_ref = hermitize(blk.gram_half @ blk.ac_proj @ blk.gram_half)
         ac.append(hermitize(ac_plus_ref - blk.ref))
         sing.append(hermitize((blk.dom + blk.ref) - ac_plus_ref))
-    n = ctx.dom.shape[0]
     return NonNegSplit(
-        absolutely_continuous=NonNegativeForm(scatter(ac, ctx.groups, n), groups=ctx.groups),
-        singular=NonNegativeForm(scatter(sing, ctx.groups, n), groups=ctx.groups),
+        absolutely_continuous=NonNegativeForm.from_blocks(ctx.groups, ac, ctx.n),
+        singular=NonNegativeForm.from_blocks(ctx.groups, sing, ctx.n),
         gram_rank=ctx.rank,
     )
 
@@ -331,7 +332,7 @@ def decompose(
         strongly_singular.append(GhQT @ Q @ Gh)
 
     def assemble(stacks):
-        return SesquilinearForm(scatter(stacks, ctx.groups, form.dim))
+        return SesquilinearForm.from_blocks(ctx.groups, stacks, ctx.n)
 
     parts = None
     if with_cross_terms:
@@ -358,8 +359,10 @@ def _dom_norm(ctx: QuotientContext) -> float:
     return max(operator_norm(blk.dom) for blk in ctx.blocks)
 
 
-def _is_zero_matrix(M: np.ndarray, tol: Tolerance, scale: float) -> bool:
-    return float(np.abs(M).max()) <= M.shape[0] * tol.cmp_abs * max(1.0, scale)
+def _is_zero(blocks: list[np.ndarray], n: int, tol: Tolerance, scale: float) -> bool:
+    """Whether the n x n matrix with these diagonal blocks is numerically zero."""
+    top = max(float(np.abs(B).max()) for B in blocks)
+    return top <= n * tol.cmp_abs * max(1.0, scale)
 
 
 def ac_extremal_check(
@@ -401,7 +404,7 @@ def is_absolutely_continuous(
     ctx = build_context(sigma, ref, tol=tol)
     split = _split_from_context(ctx)
     scale = _dom_norm(ctx)
-    via_split = _is_zero_matrix(split.singular.matrix, tol, scale)
+    via_split = _is_zero(split.singular.blocks, sigma.dim, tol, scale)
     via_kernel = all(
         annihilates(blk.dom, blk.ref_kernel, tol, scale, sigma.dim) for blk in ctx.blocks
     )
@@ -425,7 +428,7 @@ def is_singular_nonneg(
     ctx = build_context(sigma, ref, tol=tol)
     split = _split_from_context(ctx)
     scale = _dom_norm(ctx)
-    via_split = _is_zero_matrix(split.absolutely_continuous.matrix, tol, scale)
+    via_split = _is_zero(split.absolutely_continuous.blocks, sigma.dim, tol, scale)
     via_rank = ctx.rank == _rank_at(sigma.spectrum, ctx.cutoff) + _rank_at(
         ref.spectrum, ctx.cutoff
     )
@@ -489,7 +492,7 @@ def is_mixed_certificate(
     A = form.matrix
     scale = operator_norm(A)
     return all(
-        K.shape[1] == 0 or _is_zero_matrix(K.conj().T @ A @ K, tol, scale)
+        K.shape[1] == 0 or _is_zero([K.conj().T @ A @ K], K.shape[1], tol, scale)
         for K in (alpha.kernel(tol), beta.kernel(tol))
     )
 

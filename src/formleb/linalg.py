@@ -5,12 +5,15 @@ Every rank decision in the package goes through the single relative cutoff
 different matrices stay mutually consistent.
 
 Block-diagonal structure is found by `components`: the connected components of
-the joint support graph of a family of matrices, grouped by size. Each group
-of equal-size diagonal blocks is handled as one (b, m, m) stack, because
-numpy's eigh, svd and matmul all take stacks; `gather` cuts the stacks out of
-a matrix and `scatter` puts them back. On a single component the "stack" is
-the n x n matrix itself, so the block code runs the dense arithmetic
-unchanged; block code therefore indexes from the end (``[..., -1]``).
+the joint support graph of a family of matrices, grouped by size; `join`
+combines partitions already known. Each group of equal-size diagonal blocks is
+handled as one (b, m, m) stack, because numpy's eigh, svd and matmul all take
+stacks; `gather` cuts the stacks out of a matrix and `scatter` puts them back.
+On a single component the "stack" is the n x n matrix itself, so the block
+code runs the dense arithmetic unchanged; block code therefore indexes from
+the end (``[..., -1]``). A 1 x 1 block is its own eigensystem and singular
+value decomposition, so stacks of them are answered elementwise, with no
+LAPACK call.
 """
 
 from __future__ import annotations
@@ -45,15 +48,33 @@ class Tolerance:
 DEFAULT_TOL = Tolerance()
 
 
-def as_complex_matrix(value, name: str = "matrix") -> np.ndarray:
-    """Coerce to a square complex128 array with finite entries."""
+def as_square_matrix(value, name: str = "matrix") -> np.ndarray:
+    """Coerce to a square complex128 array of positive size."""
     A = np.asarray(value, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DimensionMismatch(f"{name} must be a square matrix, got shape {A.shape}")
     if A.shape[0] == 0:
         raise DimensionMismatch(f"{name} must have positive dimension")
+    return A
+
+
+def require_finite(A: np.ndarray, name: str = "matrix") -> None:
+    """Raise NonFinite unless every entry of A is finite."""
     if not np.isfinite(A).all():
         raise NonFinite(f"{name} contains non-finite entries")
+
+
+def as_complex_matrix(value, name: str = "matrix") -> np.ndarray:
+    """Coerce to a square complex128 array with finite entries."""
+    A = as_square_matrix(value, name)
+    require_finite(A, name)
+    return A
+
+
+def freeze(A: np.ndarray) -> np.ndarray:
+    """A read-only C-contiguous array with the entries of A."""
+    A = np.ascontiguousarray(A)
+    A.flags.writeable = False
     return A
 
 
@@ -104,11 +125,50 @@ def components(*matrices: np.ndarray) -> list[np.ndarray]:
             comp |= frontier
         free &= ~comp
         label[active[comp]] = active[start]
-    sizes = np.bincount(label, minlength=n)
+    return _groups_of(label)
+
+
+def _groups_of(label: np.ndarray) -> list[np.ndarray]:
+    """The partition whose parts are the indices sharing a label, each part
+    labelled by its smallest index, in the layout `components` returns."""
+    sizes = np.bincount(label, minlength=label.size)
     sizes = sizes[sizes > 0]  # in order of the labels
     order = np.argsort(label, kind="stable")
     starts = np.cumsum(sizes) - sizes
     return [order[starts[sizes == m][:, None] + np.arange(m)] for m in np.unique(sizes)]
+
+
+def join(partitions: list[list[np.ndarray]], n: int) -> list[np.ndarray]:
+    """The finest partition of range(n) that each of `partitions` refines: the
+    connected components of their union, in the layout `components` returns.
+
+    Partitions into singletons join nothing, so a family of them costs O(n);
+    otherwise every part takes the smallest label among its indices until no
+    label moves.
+    """
+    coarse = [p for p in partitions if p[0].shape[1] > 1 or len(p) > 1]
+    if len(coarse) <= 1:
+        return (coarse or partitions)[0]
+    label = np.arange(n)
+    moved = True
+    while moved:
+        before = label.copy()
+        for parts in coarse:
+            for idx in parts:
+                label[idx] = label[idx].min(axis=1, keepdims=True)
+        moved = not np.array_equal(label, before)
+    return _groups_of(label)
+
+
+def same_partition(a: list[np.ndarray], b: list[np.ndarray]) -> bool:
+    """Whether two partitions of range(n) (as `components` returns them) are equal."""
+    if a is b:
+        return True
+    if len(a) == len(b) == 1 and a[0].shape == b[0].shape and min(a[0].shape) == 1:
+        return True  # one part, or n singletons: there is one layout of each
+    return len(a) == len(b) and all(
+        x.shape == y.shape and np.array_equal(x, y) for x, y in zip(a, b)
+    )
 
 
 def is_whole(groups: list[np.ndarray], n: int) -> bool:
@@ -177,9 +237,23 @@ def top_eigenvalue(eigs: list[tuple[np.ndarray, np.ndarray]]) -> float:
     return top
 
 
+def _eigvalsh(H: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the symmetrized H, or of each matrix in a stack.
+
+    A 1 x 1 block h has the one eigenvalue Re h, the bits LAPACK's zheevd
+    returns for it, so a stack of them needs no LAPACK call.
+    """
+    if H.shape[-1] == 1:
+        return np.ascontiguousarray(H.real.reshape(H.shape[:-1]))
+    return np.linalg.eigvalsh(hermitize(H))
+
+
 def psd_eigh(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigensystem of the symmetrized H, or of each matrix in a stack, with
-    ascending eigenvalues clipped at 0."""
+    ascending eigenvalues clipped at 0. A 1 x 1 block h has Re h and the
+    eigenvector 1, as LAPACK gives them, without a LAPACK call."""
+    if H.shape[-1] == 1:
+        return np.clip(_eigvalsh(H), 0.0, None), np.ones_like(H)
     lam, V = np.linalg.eigh(hermitize(H))
     return np.clip(lam, 0.0, None), V
 
@@ -188,9 +262,8 @@ def block_eigvalsh(blocks: list[np.ndarray]) -> np.ndarray:
     """Ascending eigenvalues of the symmetrized matrix whose blocks (as
     `gather` gives them, one entry per group) are `blocks`."""
     if blocks[0].ndim == 2:
-        return np.linalg.eigvalsh(hermitize(blocks[0]))
-    lam = [np.linalg.eigvalsh(hermitize(B)).ravel() for B in blocks]
-    return np.sort(np.concatenate(lam))
+        return _eigvalsh(blocks[0])
+    return np.sort(np.concatenate([_eigvalsh(B).ravel() for B in blocks]))
 
 
 def max_asymmetry(A: np.ndarray) -> float:
@@ -270,6 +343,8 @@ def operator_norm(A) -> float:
         return 0.0
     if not np.isfinite(M).all():
         raise NonFinite("matrix contains non-finite entries")
+    if M.shape[-2:] == (1, 1):  # the singular value of a 1 x 1 block a is |a|
+        return float(np.abs(M).max())
     s = np.linalg.svd(M, compute_uv=False)
     return float(s[0] if s.ndim == 1 else s[:, 0].max())
 

@@ -9,6 +9,8 @@ form engine; the two must agree.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -101,9 +103,15 @@ def total_variation(mu: ComplexMeasure) -> ComplexMeasure:
     return ComplexMeasure(mu.space, np.abs(mu.values).astype(complex))
 
 
+def _diagonal_form(cls, values: np.ndarray):
+    """The form of class `cls` with diagonal `values`, stored as 1 x 1 blocks."""
+    k = values.shape[0]
+    return cls.from_blocks([np.arange(k)[:, None]], [values.reshape(k, 1, 1)], k)
+
+
 def induced_form(mu: ComplexMeasure) -> SesquilinearForm:
     """The form integrating phi * conj(psi) against mu: diagonal in the indicator basis."""
-    return SesquilinearForm(np.diag(mu.values))
+    return _diagonal_form(SesquilinearForm, mu.values)
 
 
 def is_ac_measure(mu: ComplexMeasure, nu: ComplexMeasure) -> bool:
@@ -133,7 +141,7 @@ def lebesgue_decompose_measure(mu: ComplexMeasure, nu: ComplexMeasure) -> Measur
     on_support = nu.values.real > 0.0
     ac_values = np.where(on_support, mu.values, 0.0)
     sing_values = mu.values - ac_values
-    support = tuple(a for a, keep in zip(mu.space.atoms, on_support) if keep)
+    support = tuple(itertools.compress(mu.space.atoms, on_support.tolist()))
     return MeasureSplit(
         absolutely_continuous=ComplexMeasure(mu.space, ac_values),
         singular=ComplexMeasure(mu.space, sing_values),
@@ -141,39 +149,54 @@ def lebesgue_decompose_measure(mu: ComplexMeasure, nu: ComplexMeasure) -> Measur
     )
 
 
+def _unit_scale(mu: ComplexMeasure, nu: ComplexMeasure) -> float:
+    """The power of 4 at or below the largest of max |mu| and max nu (1 for
+    two zero measures). Dividing by it is exact and brings that largest
+    value into [1, 4)."""
+    top = max(float(np.abs(mu.values).max()), float(nu.values.real.max()))
+    if top == 0.0:
+        return 1.0
+    _, e = math.frexp(top)  # top = f * 2**e with f in [0.5, 1)
+    return math.ldexp(1.0, 2 * ((e - 1) // 2))
+
+
 def decompose_via_forms(
     mu: ComplexMeasure, nu: ComplexMeasure, tol: Tolerance = DEFAULT_TOL
 ) -> MeasureSplit:
     """Split mu through the form engine and verify it against the direct split.
 
-    Builds the forms induced by mu, |mu| and nu, runs the three-part form
-    decomposition, and reads the parts back off indicator quadratic values.
+    Builds the forms induced by mu, |mu| and nu as 1 x 1 blocks, runs the
+    three-part form decomposition, and reads the parts back off the blocks.
+    Both measures are first divided by one power of 4 near their largest
+    value, which is exact, so the engine and the agreement check run at unit
+    scale whatever the scale of the input; the parts are multiplied back.
     Disagreement with the direct atomwise split is a hard error (internal
     fault), never a valid outcome.
     """
     _require_same_space(mu, nu)
     _require_reference(nu)
-    form = induced_form(mu)
-    atoms = [np.arange(mu.space.k)[:, None]]  # every atom its own block
-    dominating = NonNegativeForm(np.diag(np.abs(mu.values)).astype(complex), groups=atoms)
-    ref = NonNegativeForm(np.diag(nu.values.real).astype(complex), groups=atoms)
-    triple = decompose(form, ref, dominating, tol)
-    ac_values = np.diag(triple.regular.matrix).copy()
-    sing_values = np.diag(
-        triple.mixed.matrix + triple.strongly_singular.matrix
-    ).copy()
+    scale = _unit_scale(mu, nu)
+    mu_unit = mu.values / scale
+    triple = decompose(
+        _diagonal_form(SesquilinearForm, mu_unit),
+        _diagonal_form(NonNegativeForm, (nu.values.real / scale).astype(complex)),
+        _diagonal_form(NonNegativeForm, np.abs(mu_unit).astype(complex)),
+        tol,
+    )
+    ac_values = triple.regular.diagonal()
+    sing_values = triple.mixed.diagonal() + triple.strongly_singular.diagonal()
     direct = lebesgue_decompose_measure(mu, nu)
     gap = max(
-        float(np.max(np.abs(ac_values - direct.absolutely_continuous.values))),
-        float(np.max(np.abs(sing_values - direct.singular.values))),
+        float(np.max(np.abs(ac_values - direct.absolutely_continuous.values / scale))),
+        float(np.max(np.abs(sing_values - direct.singular.values / scale))),
     )
     if gap > tol.cmp_abs:
         raise InconsistentRank(
-            f"form-engine split disagrees with the atomwise split by {gap:.3e}; "
-            "internal fault or measure values below the rank cutoff"
+            f"form-engine split disagrees with the atomwise split by {gap:.3e} "
+            "at unit scale; internal fault or measure values below the rank cutoff"
         )
     return MeasureSplit(
-        absolutely_continuous=ComplexMeasure(mu.space, ac_values),
-        singular=ComplexMeasure(mu.space, sing_values),
+        absolutely_continuous=ComplexMeasure(mu.space, ac_values * scale),
+        singular=ComplexMeasure(mu.space, sing_values * scale),
         support=direct.support,
     )

@@ -56,6 +56,7 @@ CRITERIA_TITLES = {
     8: "C^2 counterexample regression",
     9: "measure oracle equivalence",
     10: "bounded and singular implies null",
+    11: "a.c. part equals the shorted operator",
 }
 
 

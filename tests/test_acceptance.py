@@ -41,7 +41,7 @@ from formleb.measures import (
     lebesgue_decompose_measure,
 )
 
-from conftest import crandn, max_abs, random_hermitian, random_psd
+from conftest import crandn, max_abs, random_hermitian, random_psd, random_unitary
 
 GOLDEN_ATOL = 1e-9
 SLACK = 1e-8
@@ -359,3 +359,73 @@ def test_criterion_10_bounded_and_singular_is_null():
             non_vacuous += 1
             assert operator_norm(A) <= SLACK
     assert non_vacuous >= 100
+
+
+def _pinv_above(A, cutoff):
+    """numpy's pseudo-inverse of A, singular values at or below `cutoff` dropped."""
+    top = np.linalg.norm(A, 2)
+    return np.linalg.pinv(A, cutoff / top) if top > cutoff else np.zeros_like(A)
+
+
+def shorted_operator(S, W, rcond=1e-10):
+    """The Anderson-Trapp short of S to ran W,
+    P_M (S_MM - S_MK S_KK^+ S_KM) P_M with M = ran W and K = ker W.
+
+    In finite dimension this is the largest X <= S with ran X in ran W, the
+    W-a.c. part of S. It is built from numpy's pinv alone: no G^(1/2), no
+    quotient projector, no image SVD. Both cutoffs are relative to the whole
+    matrix, W's to ||W|| and S_KK's to ||S||, as the engine's are.
+    """
+    P = W @ _pinv_above(W, rcond * np.linalg.norm(W, 2))  # projector onto ran W
+    Q = np.eye(S.shape[0]) - P
+    S_KK_pinv = _pinv_above(Q @ S @ Q, rcond * np.linalg.norm(S, 2))
+    return P @ S @ P - P @ S @ Q @ S_KK_pinv @ Q @ S @ P
+
+
+def _unit_psd(rng, n, rank):
+    """A PSD matrix of the given rank whose nonzero eigenvalues lie in [0.5, 2]."""
+    U = random_unitary(rng, n)[:, :rank]
+    return (U * rng.uniform(0.5, 2.0, rank)) @ U.conj().T
+
+
+def _unit_pair(rng, n):
+    """Unit-scale PSD (S, W) on C^n: S of rank 1..n, W of rank 0..n."""
+    return _unit_psd(rng, n, int(rng.integers(1, n + 1))), _unit_psd(
+        rng, n, int(rng.integers(0, n + 1))
+    )
+
+
+def _permuted_block_pair(rng):
+    """Unit-scale (S, W) on 2-4 components of sizes 1-3, interleaved by a
+    random permutation, so the engine takes the block path."""
+    sizes = rng.integers(1, 4, size=rng.integers(2, 5))
+    n = int(sizes.sum())
+    S, W = np.zeros((n, n), dtype=complex), np.zeros((n, n), dtype=complex)
+    start = 0
+    for m in sizes:
+        block = slice(start, start + m)
+        S[block, block], W[block, block] = _unit_pair(rng, m)
+        start += m
+    perm = rng.permutation(n)
+    return S[np.ix_(perm, perm)], W[np.ix_(perm, perm)]
+
+
+def test_criterion_11_ac_part_is_the_shorted_operator():
+    rng = np.random.default_rng(1111)
+    worst = 0.0
+    for trial in range(400):
+        S, W = _unit_pair(rng, int(rng.integers(2, 9))) if trial % 4 else _permuted_block_pair(rng)
+        ac = decompose_nonneg(NonNegativeForm(S), NonNegativeForm(W)).absolutely_continuous
+        gap = max_abs(ac.matrix - shorted_operator(S, W)) / np.linalg.norm(S, 2)
+        worst = max(worst, gap)
+    assert worst <= 1e-12, worst
+
+    # the atomwise measure split is the 1x1 case of the short
+    for _ in range(100):
+        k = int(rng.integers(1, 9))
+        space = AtomicMeasureSpace(tuple(f"a{i}" for i in range(k)))
+        mu = ComplexMeasure(space, crandn(rng, k) * rng.choice([0.0, 1.0], k))
+        nu = ComplexMeasure(space, rng.uniform(0.1, 2.0, k) * rng.choice([0.0, 1.0], k))
+        ac = lebesgue_decompose_measure(mu, nu).absolutely_continuous.values
+        short = shorted_operator(np.diag(np.abs(mu.values)), np.diag(nu.values.real))
+        assert max_abs(short - np.diag(np.abs(ac))) <= 1e-12 * max(1.0, max_abs(mu.values))

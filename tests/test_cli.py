@@ -309,6 +309,22 @@ class TestMain:
         assert code == 2
         assert json.loads(out)["error"]["code"] == "NOT_PSD"
 
+    def test_lapack_failure_is_numerical_failure(self, capsysbinary, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", no_convergence)
+        doc = payload(
+            kind="decompose",
+            t=enc_matrix([[1.0, 2j], [0.5, -1.0]]),
+            omega=enc_matrix(np.diag([0.0, 1.0])),
+        )
+        code, out = self.run(["decompose"], doc, capsysbinary)
+        assert code == 2
+        decoded = json.loads(out)  # one JSON document, no traceback
+        assert decoded["status"] == "error"
+        assert decoded["error"] == {"code": "NUMERICAL_FAILURE", "message": "SVD did not converge"}
+
     def test_usage_error_exit_1(self, capsysbinary):
         assert main(["no-such-command"]) == 1
 

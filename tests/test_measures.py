@@ -1,6 +1,7 @@
 """Measures on finite atomic spaces and the bridge to the form engine."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from formleb import (
     AtomicMeasureSpace,
     ComplexMeasure,
+    InconsistentRank,
     NegativeReference,
     NonNegativeForm,
     decompose_via_forms,
@@ -236,3 +238,71 @@ class TestFormBridge:
                 assert is_strongly_singular(form, ref, cert)
             if is_singular_nonneg(cert, ref):
                 assert is_singular_measure(mu, nu)
+
+
+class TestUnitScale:
+    """decompose_via_forms divides both measures by one power of 4 near their
+    largest value, so the engine and its agreement check run at unit scale
+    and the parts scale with the input."""
+
+    def test_powers_of_four_scale_the_parts_exactly(self, rng):
+        for _ in range(5):
+            mu, nu = random_measure_pair(rng, 8)
+            unit = decompose_via_forms(mu, nu)
+            for j in range(-20, 21):
+                c = 4.0**j
+                split = decompose_via_forms(
+                    ComplexMeasure(mu.space, mu.values * c), ComplexMeasure(nu.space, nu.values * c)
+                )
+                for part in ("absolutely_continuous", "singular"):
+                    got = getattr(split, part).values
+                    assert np.array_equal(got, getattr(unit, part).values * c), (j, part)
+                assert split.support == unit.support
+
+    @pytest.mark.parametrize("scale", [1e-8, 1e8])
+    def test_random_measures_at_large_and_small_scale(self, rng, scale):
+        for _ in range(100):
+            mu, nu = random_measure_pair(rng, 8)
+            mu = ComplexMeasure(mu.space, mu.values * scale)
+            nu = ComplexMeasure(nu.space, nu.values * scale)
+            via_forms = decompose_via_forms(mu, nu)
+            direct = lebesgue_decompose_measure(mu, nu)
+            for part in ("absolutely_continuous", "singular"):
+                gap = max_abs(getattr(via_forms, part).values - getattr(direct, part).values)
+                assert gap <= 1e-12 * max_abs(mu.values)
+
+    def test_readme_measure_at_scale(self):
+        mu, nu = [3 + 1j, 2.0, 0.7 - 2j], [0.0, 1.0, 2.0]
+        for scale in (1e-12, 1e-8, 1e8, 1e12):
+            split = decompose_via_forms(
+                measure(np.multiply(mu, scale)), measure(np.multiply(nu, scale))
+            )
+            assert split.support == ("b", "c")
+            assert max_abs(split.singular.values / scale - [3 + 1j, 0, 0]) < 1e-12
+
+    @pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
+    def test_relative_null_atom_inconsistent_at_every_scale(self, scale):
+        space = AtomicMeasureSpace(("a", "b"))
+        mu = ComplexMeasure(space, np.array([1.0, 1.0]) * scale)
+        nu = ComplexMeasure(space, np.array([1.0, 1e-12]) * scale)
+        with pytest.raises(InconsistentRank):
+            decompose_via_forms(mu, nu)
+
+
+def test_measure_path_memory_is_linear_in_atoms():
+    """Stored as 1x1 blocks, the induced forms of k = 1024 atoms never make a
+    k x k matrix (one such complex matrix alone takes 16 MB)."""
+    rng = np.random.default_rng(1024)
+    k = 1024
+    space = AtomicMeasureSpace(tuple(f"a{i}" for i in range(k)))
+    nu = rng.uniform(0.1, 1.0, k)
+    nu[rng.permutation(k)[: k // 3]] = 0.0
+    mu = ComplexMeasure(space, rng.standard_normal(k) + 1j * rng.standard_normal(k))
+    nu = ComplexMeasure(space, nu)
+    tracemalloc.start()
+    try:
+        decompose_via_forms(mu, nu)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, peak
