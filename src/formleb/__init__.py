@@ -49,8 +49,6 @@ from .linalg import (
     is_psd,
     kernel_basis,
     operator_norm,
-    pinv_sqrt,
-    psd_sqrt,
 )
 from .measures import (
     AtomicMeasureSpace,
@@ -109,9 +107,7 @@ __all__ = [
     "kernel_basis",
     "lebesgue_decompose_measure",
     "operator_norm",
-    "pinv_sqrt",
     "polarization_reconstruct",
-    "psd_sqrt",
     "run_selftest",
     "singularity_sufficient",
     "total_variation",

@@ -28,7 +28,6 @@ from .linalg import (
     gather,
     hermitize,
     is_psd,
-    is_whole,
     join,
     leading_columns,
     max_asymmetry,
@@ -54,10 +53,10 @@ class SesquilinearForm:
 
     The form is stored as blocks: `groups` is a partition of the indices that
     A is block-diagonal on (as `linalg.components` returns it) and `blocks`
-    holds A's read-only diagonal blocks on it, one (b, m, m) stack per group,
-    or the n x n matrix itself when the one group is every index. `matrix` is
-    the dense A, read-only, assembled from the blocks on first read and kept;
-    a form built from a dense matrix keeps that matrix.
+    holds A's read-only diagonal blocks on it, one (b, m, m) stack per group.
+    When the one group is every index, its stack is (1, n, n), a view of A.
+    `matrix` is the dense A, read-only, assembled from the blocks on first
+    read and kept; a form built from a dense matrix keeps that matrix.
 
     A form built from a dense matrix is one group and runs no component
     search; `joint_groups` searches its support when the engine needs it.
@@ -68,8 +67,8 @@ class SesquilinearForm:
     def __init__(self, matrix):
         A = as_square_matrix(matrix, "form matrix").copy()
         A.flags.writeable = False
-        n = A.shape[0]
-        self._store([np.arange(n)[None, :]], [A], n, matrix=A, searched=False)
+        groups = [np.arange(A.shape[0])[None, :]]
+        self._store(groups, gather(A, groups), A.shape[0], matrix=A, searched=False)
         self.__post_init__()
 
     @classmethod
@@ -80,8 +79,6 @@ class SesquilinearForm:
         Internal: the engine and the measure path build their forms this way,
         so no n x n matrix is made unless `matrix` is read.
         """
-        if is_whole(groups, n):  # the one block is the matrix itself
-            blocks = [blocks[0].reshape(n, n)]
         form = cls.__new__(cls)
         form._store(groups, [freeze(B) for B in blocks], n)
         form.__post_init__()
@@ -158,22 +155,21 @@ class SesquilinearForm:
 class NonNegativeForm(SesquilinearForm):
     """Sesquilinear form with t[phi] >= 0 for every phi (PSD matrix).
 
-    `groups` defaults to the connected components of the matrix's support; a
-    caller that already knows a valid partition passes it. `__post_init__`
-    validates every form, however it was built, once and per block: finite
-    entries, `asymmetry` (max |A - A*|) and `spectrum` (the ascending
-    eigenvalues of the symmetrized matrix), so `psd_at` answers for any
-    tolerance without factoring again. `eigenpairs` is factored on first use
-    and kept; every kernel, root and rank of the form is read from it. A
-    diagonal matrix therefore costs no n x n factorization, and its 1 x 1
-    blocks no LAPACK call.
+    A form built from a matrix is stored on the connected components of its
+    support. `__post_init__` validates every form, however it was built, once
+    and per block: finite entries, `asymmetry` (max |A - A*|) and `spectrum`
+    (the ascending eigenvalues of the symmetrized matrix), so `psd_at`
+    answers for any tolerance without factoring again. The blocks are
+    factored on first use and kept; `eigenpairs`, and with it every kernel,
+    root and rank of the form, is assembled from those factors. A diagonal
+    matrix therefore costs no n x n factorization, and its 1 x 1 blocks no
+    LAPACK call.
     """
 
-    def __init__(self, matrix, *, groups: list[np.ndarray] | None = None):
+    def __init__(self, matrix):
         A = as_square_matrix(matrix, "form matrix").copy()
         A.flags.writeable = False
-        if groups is None:
-            groups = components(A)
+        groups = components(A)
         blocks = gather(A, groups)
         for B in blocks:
             B.flags.writeable = False
@@ -199,34 +195,40 @@ class NonNegativeForm(SesquilinearForm):
 
     @cached_property
     def _own_eigenpairs(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Eigensystems of the stored blocks, when there is more than one."""
+        """Eigensystems of the stored blocks, one per group."""
         return [psd_eigh(B) for B in self.blocks]
 
     @cached_property
     def eigenpairs(self) -> tuple[np.ndarray, np.ndarray]:
         """Read-only (ascending eigenvalues clipped at 0, eigenvectors) of the
-        symmetrized matrix. Threads racing on first use compute the same value."""
-        if is_whole(self.groups, self.dim):
-            lam, V = psd_eigh(self.matrix)
-        else:
-            pairs = self._own_eigenpairs
-            lam = np.concatenate([block_lam.ravel() for block_lam, _ in pairs])
-            V = scatter_columns([V for _, V in pairs], self.groups, self.dim)
-            order = np.argsort(lam, kind="stable")
-            lam, V = lam[order], V[:, order]
+        symmetrized matrix, assembled from the blocks' eigensystems. Threads
+        racing on first use compute the same value."""
+        pairs = self._own_eigenpairs
+        lam = np.concatenate([block_lam.ravel() for block_lam, _ in pairs])
+        V = scatter_columns([V for _, V in pairs], self.groups, self.dim)
+        order = np.argsort(lam, kind="stable")
+        lam, V = lam[order], V[:, order]
         lam.flags.writeable = V.flags.writeable = False
         return lam, V
 
     def block_eigenpairs(self, groups: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Eigensystems of the diagonal blocks on `groups`, a partition the
-        matrix is block-diagonal on: per group, eigenvalues (b, m) ascending
-        and clipped at 0 and eigenvectors (b, m, m). On the single component
-        the one group is the matrix itself, with the kept `eigenpairs`."""
-        if is_whole(groups, self.dim):
-            return [self.eigenpairs]
+        """Eigensystems of the diagonal blocks on `groups`, a partition that
+        `self.groups` refines: per group, eigenvalues (b, m) ascending and
+        clipped at 0 and eigenvectors (b, m, m). They are the stored blocks'
+        eigensystems, regrouped without factoring again."""
         if same_partition(groups, self.groups):
             return self._own_eigenpairs
-        return [psd_eigh(B) for B in self.blocks_on(groups)]
+        lam, V = self.eigenpairs
+        label = np.empty(self.dim, dtype=int)  # a part of `groups` per index
+        for idx in groups:
+            label[idx] = idx[:, :1]
+        # each eigenvector lies in one part: list them part by part, ascending
+        # within a part, at the places of that part's indices
+        cols = np.argsort(label[np.argmax(V != 0, axis=0)], kind="stable")
+        at = np.argsort(label, kind="stable")
+        lam_at, V_at = np.empty_like(lam), np.empty_like(V)
+        lam_at[at], V_at[:, at] = lam[cols], V[:, cols]
+        return [(lam_at[idx], V_B) for idx, V_B in zip(groups, gather(V_at, groups))]
 
     def kernel(self, tol: Tolerance) -> np.ndarray:
         """Orthonormal kernel basis at the form's own cutoff rank_rel * lambda_max."""
@@ -330,7 +332,7 @@ def joint_groups(*forms: SesquilinearForm) -> list[np.ndarray]:
     n = forms[0].dim
     known = [form.groups for form in forms if form._searched]
     for groups in known:
-        if is_whole(groups, n):
+        if groups[0].shape[1] == n:  # one component already
             return groups
     dense = [form.matrix for form in forms if not form._searched]
     if dense:
@@ -389,11 +391,15 @@ def classify_range(form: SesquilinearForm, tol: Tolerance = DEFAULT_TOL) -> Rang
     for R, and non-negativity of the real/imaginary parts for the half-plane and
     quadrant. The smallest sector constant is the boundedness constant of
     Im(A) relative to Re(A), and exactly 0 when Im(A) and -Im(A) are PSD.
+    Raises NonFinite when Re(A) or its spectrum overflows; the checks that
+    read Im(A) raise it for Im(A).
     """
     A = form.matrix
     re = hermitize(A)
     im = (A - A.conj().T) / 2j
+    require_finite(re, "real part")
     lam = np.linalg.eigvalsh(re)
+    require_finite(lam, "spectrum of the real part")
     real = max_asymmetry(A) <= tol.cmp_abs
     nonneg = real and bool(lam[0] >= -tol.psd_abs)
     # hermitize(re) equals re up to the sign of zero entries; where a sign
@@ -406,9 +412,9 @@ def classify_range(form: SesquilinearForm, tol: Tolerance = DEFAULT_TOL) -> Rang
     if quadrant and is_psd(-im, tol):
         constant = 0.0
     elif halfplane:
-        lam_re, V = np.linalg.eigh(re)
+        lam_re, V = np.linalg.eigh(re[None])
         eigs = [(np.clip(lam_re, 0.0, None), V)]
-        constant = compressed_norm(eigs, [im], form.dim, tol)
+        constant = compressed_norm(eigs, [im[None]], form.dim, tol)
     return RangeClass(
         nonneg=nonneg,
         real=real,

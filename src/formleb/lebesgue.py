@@ -20,7 +20,6 @@ immutable and shareable across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -59,7 +58,7 @@ from .linalg import (
 
 class ComponentBlocks(NamedTuple):
     """The engine's arrays for one group of equal-size components: (b, m, ...)
-    stacks, or the n x n matrices themselves on a single component.
+    stacks, (1, n, ...) on a single component.
 
     dom and ref are the blocks of the two forms; gram_half, range_proj,
     ac_proj and contraction those of the matching `QuotientContext` fields.
@@ -87,15 +86,14 @@ class QuotientContext:
     cutoff is the whole family's. cutoff is the rank cutoff
     rank_rel * lambda_max(G) and rank the number of eigenvalues of G above it.
 
-    The dense matrices are assembled from the blocks on first use (on a single
-    component they are its one block): dom and ref are the two forms'
-    matrices, gram_half the PSD square root of G, range_proj the orthogonal
-    projector onto range(G), ref_kernel an orthonormal basis of ker(ref) at
-    the family cutoff, ref_kernel_image one of gram_half @ ker(ref)
-    (directions of singular mass), ac_proj the projector onto range(G) minus
-    that span, and contraction the norm <= 1 representation
-    G^(+1/2) A G^(+1/2) of an attached dominated form (None when no form is
-    attached).
+    `dense(name)` assembles the dense matrix of a `ComponentBlocks` field
+    from the blocks: dom and ref are the two forms' matrices, gram_half the
+    PSD square root of G, range_proj the orthogonal projector onto range(G),
+    ref_kernel an orthonormal basis of ker(ref) at the family cutoff,
+    ref_kernel_image one of gram_half @ ker(ref) (directions of singular
+    mass), ac_proj the projector onto range(G) minus that span, and
+    contraction the norm <= 1 representation G^(+1/2) A G^(+1/2) of an
+    attached dominated form (None when no form is attached).
     """
 
     n: int
@@ -104,45 +102,14 @@ class QuotientContext:
     groups: list[np.ndarray]
     blocks: list[ComponentBlocks]
 
-    def _dense(self, name: str) -> np.ndarray:
+    def dense(self, name: str) -> np.ndarray | None:
+        """The read-only n x n matrix (n x k basis, for the two ref_kernel
+        fields) of the `ComponentBlocks` field `name`."""
         stacks = [getattr(blk, name) for blk in self.blocks]
-        return freeze(scatter(stacks, self.groups, self.n))
-
-    def _dense_columns(self, name: str) -> np.ndarray:
-        stacks = [getattr(blk, name) for blk in self.blocks]
-        return freeze(scatter_columns(stacks, self.groups, self.n))
-
-    @cached_property
-    def dom(self) -> np.ndarray:
-        return self._dense("dom")
-
-    @cached_property
-    def ref(self) -> np.ndarray:
-        return self._dense("ref")
-
-    @cached_property
-    def gram_half(self) -> np.ndarray:
-        return self._dense("gram_half")
-
-    @cached_property
-    def range_proj(self) -> np.ndarray:
-        return self._dense("range_proj")
-
-    @cached_property
-    def ac_proj(self) -> np.ndarray:
-        return self._dense("ac_proj")
-
-    @cached_property
-    def contraction(self) -> np.ndarray | None:
-        return None if self.blocks[0].contraction is None else self._dense("contraction")
-
-    @cached_property
-    def ref_kernel(self) -> np.ndarray:
-        return self._dense_columns("ref_kernel")
-
-    @cached_property
-    def ref_kernel_image(self) -> np.ndarray:
-        return self._dense_columns("ref_kernel_image")
+        if stacks[0] is None:
+            return None
+        assemble = scatter_columns if name.startswith("ref_kernel") else scatter
+        return freeze(assemble(stacks, self.groups, self.n))
 
 
 @dataclass(frozen=True)
@@ -519,7 +486,7 @@ def singularity_sufficient(
         K = kernel_basis(M, tol)
         if K.shape[1] == 0:
             continue
-        image_rank = _orthonormal_image(Whalf @ K, cutoff).shape[-1]
+        image_rank = _orthonormal_image((Whalf @ K)[None], cutoff).shape[-1]
         if image_rank == ref_rank:
             return True
     return False

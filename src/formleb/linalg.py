@@ -9,20 +9,22 @@ the joint support graph of a family of matrices, grouped by size; `join`
 combines partitions already known. Each group of equal-size diagonal blocks is
 handled as one (b, m, m) stack, because numpy's eigh, svd and matmul all take
 stacks; `gather` cuts the stacks out of a matrix and `scatter` puts them back.
-On a single component the "stack" is the n x n matrix itself, so the block
-code runs the dense arithmetic unchanged; block code therefore indexes from
-the end (``[..., -1]``). A 1 x 1 block is its own eigensystem and singular
-value decomposition, so stacks of them are answered elementwise, with no
-LAPACK call.
+There is one layout: a single component is the (1, n, n) stack ``M[None]``, a
+view of the matrix, and only `gather`, `scatter` and `scatter_columns` know
+that. numpy factors and multiplies that stack to the same bits as the matrix
+itself, so a single component runs the dense arithmetic unchanged. A 1 x 1
+block is its own eigensystem and singular value decomposition, so stacks of
+them are answered elementwise, with no LAPACK call.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFinite, NotPSD
+from .errors import DimensionMismatch, NonFinite
 
 
 @dataclass(frozen=True)
@@ -171,16 +173,11 @@ def same_partition(a: list[np.ndarray], b: list[np.ndarray]) -> bool:
     )
 
 
-def is_whole(groups: list[np.ndarray], n: int) -> bool:
-    """Whether `groups` (as `components` returns them) is the single component."""
-    return groups[0].shape[1] == n
-
-
 def gather(M: np.ndarray, groups: list[np.ndarray]) -> list[np.ndarray]:
     """The diagonal blocks of M on `groups`, one (b, m, m) stack per group;
-    ``[M]`` on the single component."""
+    ``[M[None]]``, a view of M, on the single component."""
     if groups[0].shape[1] == M.shape[0]:
-        return [M]
+        return [M[None]]
     return [M[idx[:, :, None], idx[:, None, :]] for idx in groups]
 
 
@@ -190,7 +187,7 @@ def scatter(blocks: list[np.ndarray], groups: list[np.ndarray], n: int) -> np.nd
     The inverse of `gather`.
     """
     if groups[0].shape[1] == n:
-        return blocks[0]
+        return blocks[0][0]
     out = np.zeros((n, n), dtype=complex)
     for idx, X in zip(groups, blocks):
         out[idx[:, :, None], idx[:, None, :]] = X
@@ -205,7 +202,7 @@ def scatter_columns(blocks: list[np.ndarray], groups: list[np.ndarray], n: int) 
     orthonormal set is never zero.
     """
     if groups[0].shape[1] == n:
-        return blocks[0]
+        return blocks[0][0]
     parts = []
     for idx, X in zip(groups, blocks):
         bi, ci = np.nonzero((X != 0).any(axis=-2))
@@ -216,14 +213,13 @@ def scatter_columns(blocks: list[np.ndarray], groups: list[np.ndarray], n: int) 
 
 
 def leading_columns(V: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """The columns of V where mask holds, or of each V[i] in a (b, m, m) stack
-    where mask[i] holds.
+    """The columns of each V[i] in a (b, m, r) stack where mask[i] holds.
 
     Every mask[i] must be a prefix (a cutoff on sorted values); the result is
     a (b, m, k) stack zero-padded to the longest prefix k.
     """
-    if mask.ndim == 1:
-        return V[:, mask]
+    if len(mask) == 1:  # one block, nothing to pad: a quarter of np.where's cost
+        return V[..., mask[0]]
     union = mask.any(axis=0)
     return np.where(mask[:, None, union], V[..., union], 0.0)
 
@@ -231,10 +227,7 @@ def leading_columns(V: np.ndarray, mask: np.ndarray) -> np.ndarray:
 def top_eigenvalue(eigs: list[tuple[np.ndarray, np.ndarray]]) -> float:
     """The largest eigenvalue over per-group eigensystems with ascending rows
     (eigenvalues clipped at 0)."""
-    top = 0.0
-    for lam, _ in eigs:
-        top = max(top, float(lam[-1] if lam.ndim == 1 else lam[:, -1].max()))
-    return top
+    return max(float(lam[:, -1].max()) for lam, _ in eigs)
 
 
 def _eigvalsh(H: np.ndarray) -> np.ndarray:
@@ -261,42 +254,14 @@ def psd_eigh(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def block_eigvalsh(blocks: list[np.ndarray]) -> np.ndarray:
     """Ascending eigenvalues of the symmetrized matrix whose blocks (as
     `gather` gives them, one entry per group) are `blocks`."""
-    if blocks[0].ndim == 2:
-        return _eigvalsh(blocks[0])
-    return np.sort(np.concatenate([_eigvalsh(B).ravel() for B in blocks]))
+    lam = np.concatenate([_eigvalsh(B) for B in blocks], axis=None)
+    lam.sort()
+    return lam
 
 
 def max_asymmetry(A: np.ndarray) -> float:
     """max |A - A*| over a matrix or a stack of them."""
     return float(np.abs(A - A.conj().swapaxes(-1, -2)).max())
-
-
-def _psd_spectrum(H, tol: Tolerance, name: str):
-    """Eigensystem of a PSD matrix with negatives-within-slack clamped to 0."""
-    A = as_complex_matrix(H, name)
-    asym = max_asymmetry(A)
-    if asym > tol.cmp_abs:
-        raise NotPSD(f"{name} is not Hermitian (max asymmetry {asym:.3e})")
-    lam, V = np.linalg.eigh(hermitize(A))
-    if lam.size and lam[0] < -tol.psd_abs:
-        raise NotPSD(f"{name} has negative eigenvalue {lam[0]:.6e}")
-    return np.clip(lam, 0.0, None), V
-
-
-def psd_sqrt(H, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Hermitian PSD square root of a PSD matrix."""
-    lam, V = _psd_spectrum(H, tol, "H")
-    return hermitize((V * np.sqrt(lam)) @ V.conj().T)
-
-
-def pinv_sqrt(H, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Pseudo-inverse square root: eigenvalues below rank_rel * lambda_max invert to 0.
-
-    The product ``pinv_sqrt(H) @ H @ pinv_sqrt(H)`` is the orthogonal projector
-    onto range(H).
-    """
-    lam, V = _psd_spectrum(H, tol, "H")
-    return eig_pinv_sqrt(lam, V, tol.rank_rel * lam[-1])
 
 
 def eig_pinv_sqrt(lam: np.ndarray, V: np.ndarray, cutoff: float) -> np.ndarray:
@@ -344,9 +309,12 @@ def operator_norm(A) -> float:
     if not np.isfinite(M).all():
         raise NonFinite("matrix contains non-finite entries")
     if M.shape[-2:] == (1, 1):  # the singular value of a 1 x 1 block a is |a|
-        return float(np.abs(M).max())
-    s = np.linalg.svd(M, compute_uv=False)
-    return float(s[0] if s.ndim == 1 else s[:, 0].max())
+        top = float(np.abs(M).max())
+    else:
+        top = float(np.linalg.svd(M, compute_uv=False)[..., 0].max())
+    if not math.isfinite(top):
+        raise NonFinite("operator norm overflows")
+    return top
 
 
 def annihilates(

@@ -5,6 +5,8 @@ import re
 import numpy as np
 import pytest
 
+from formleb.linalg import eig_pinv_sqrt, psd_eigh
+
 
 def crandn(rng, *shape):
     """Complex standard-normal array."""
@@ -29,6 +31,13 @@ def random_hermitian(rng, n):
 def random_unitary(rng, n):
     Q, R = np.linalg.qr(crandn(rng, n, n))
     return Q * (np.diag(R) / np.abs(np.diag(R)))
+
+
+def pinv_sqrt(H):
+    """Pseudo-inverse square root of a PSD matrix: eigenvalues at or below
+    1e-10 * lambda_max (the default rank cutoff) invert to 0."""
+    lam, V = psd_eigh(np.asarray(H, dtype=complex))
+    return eig_pinv_sqrt(lam, V, 1e-10 * lam[-1])
 
 
 def max_abs(A):

@@ -30,7 +30,6 @@ from formleb import (
     is_strongly_singular,
     kernel_basis,
     operator_norm,
-    pinv_sqrt,
     singularity_sufficient,
     total_variation,
 )
@@ -41,7 +40,7 @@ from formleb.measures import (
     lebesgue_decompose_measure,
 )
 
-from conftest import crandn, max_abs, random_hermitian, random_psd, random_unitary
+from conftest import crandn, max_abs, pinv_sqrt, random_hermitian, random_psd, random_unitary
 
 GOLDEN_ATOL = 1e-9
 SLACK = 1e-8

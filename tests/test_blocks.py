@@ -19,9 +19,11 @@ from formleb import (
     NotPSD,
     SesquilinearForm,
     build_context,
+    construct_dominating,
     decompose,
     decompose_nonneg,
     decompose_via_forms,
+    induced_form,
     is_absolutely_continuous,
     is_bounded_by,
     is_dominating,
@@ -180,13 +182,69 @@ class TestBlockPathMatchesDense:
     def test_dense_views_of_the_blocks(self, rng):
         _, S, W, _ = block_instance(rng)
         ctx = build_context(NonNegativeForm(S), NonNegativeForm(W))
-        P, K, img = ctx.ac_proj, ctx.ref_kernel, ctx.ref_kernel_image
+        P, K, img = ctx.dense("ac_proj"), ctx.dense("ref_kernel"), ctx.dense("ref_kernel_image")
         n = S.shape[0]
         assert max_abs(P @ P - P) < n * 1e-9
         assert max_abs(K.conj().T @ K - np.eye(K.shape[1])) < 1e-12
         assert max_abs(img.conj().T @ img - np.eye(img.shape[1])) < 1e-12
         assert max_abs(P @ img) < n * 1e-9
-        assert max_abs(ctx.gram_half @ ctx.gram_half - (S + W)) <= 1e-12 * max_abs(S + W)
+        Gh = ctx.dense("gram_half")
+        assert max_abs(Gh @ Gh - (S + W)) <= 1e-12 * max_abs(S + W)
+        assert ctx.dense("contraction") is None  # no form attached
+
+
+class TestOneLayout:
+    def forms(self, rng):
+        """Forms built every way the package builds them."""
+        _, S, W, _ = block_instance(rng)
+        n = S.shape[0]
+        t = SesquilinearForm(crandn(rng, n, n))
+        sigma = construct_dominating(t)
+        omega = NonNegativeForm(W)
+        triple = decompose(t, omega, sigma, with_cross_terms=True)
+        split = decompose_nonneg(NonNegativeForm(S), omega)
+        space = AtomicMeasureSpace(tuple("abcde"))
+        yield from (t, sigma, omega, NonNegativeForm(S), NonNegativeForm(np.diag([1.0, 0.0, 2.0])))
+        yield from (triple.regular, triple.mixed, triple.strongly_singular, *triple.mixed_parts)
+        for parts in (split, triple.witnesses):
+            yield from (parts.absolutely_continuous, parts.singular)
+        yield from (t.adjoint(), t.real_part(), 2.0 * t, t + t, SesquilinearForm([[3.0]]))
+        yield induced_form(ComplexMeasure(space, [1.0, 0.0, 2j, 0.0, -1.0]))
+        yield induced_form(ComplexMeasure(AtomicMeasureSpace(("a",)), [1.5]))
+
+    def test_every_group_is_a_stack(self, rng):
+        one_component = 0
+        for form in self.forms(rng):
+            assert len(form.blocks) == len(form.groups)
+            for idx, B in zip(form.groups, form.blocks):
+                b, m = idx.shape
+                assert B.shape == (b, m, m)
+            if form.groups[0].shape == (1, form.dim):
+                one_component += 1
+                assert np.shares_memory(form.blocks[0][0], form.matrix)
+        assert one_component >= 8
+
+    def test_eigenpairs_regrouped_without_factoring(self, rng, monkeypatch):
+        # W has the components {0, 3}, {1}, {2}, {4, 5}; the whole index set
+        # and {0, 1, 3}, {2, 4, 5} are coarser, and reuse its block factors
+        W = np.diag([0.0, 2.0, 0.5, 0.0, 0.0, 0.0]).astype(complex)
+        W[np.ix_([0, 3], [0, 3])] = random_psd(rng, 2, 1)
+        W[np.ix_([4, 5], [4, 5])] = random_psd(rng, 2)
+        omega = NonNegativeForm(W)
+        assert len(omega.groups) == 2
+        lam, V = omega.eigenpairs
+        coarse = [np.array([[0, 1, 3], [2, 4, 5]])]
+        for name in ("eigh", "eigvalsh", "svd"):
+            monkeypatch.setattr(np.linalg, name, None)
+        ((lam_w, V_w),) = omega.block_eigenpairs([np.arange(6)[None]])
+        ((lam_c, V_c),) = omega.block_eigenpairs(coarse)
+        monkeypatch.undo()
+        assert lam_w.tobytes() == lam[None].tobytes() and V_w.tobytes() == V[None].tobytes()
+        (B,) = [W[idx[:, :, None], idx[:, None, :]] for idx in coarse]
+        assert np.all(np.diff(lam_c, axis=1) >= 0.0)
+        assert max_abs(lam_c - np.linalg.eigvalsh(B)) <= 1e-12 * max_abs(W)
+        rebuilt = (V_c * lam_c[:, None, :]) @ V_c.conj().swapaxes(1, 2)
+        assert max_abs(rebuilt - B) <= 1e-12 * max_abs(W)
 
 
 class TestGlobalCutoff:
@@ -208,7 +266,7 @@ class TestGlobalCutoff:
         ctx, ctxU = build_context(sigma, omega), build_context(sigmaU, omegaU)
         assert len(ctx.groups) == 1 and ctx.groups[0].shape == (2, 2)
         assert ctx.rank == ctxU.rank == 2
-        assert max_abs(ctx.range_proj[np.ix_([1, 2], [1, 2])]) == 0.0
+        assert max_abs(ctx.dense("range_proj")[np.ix_([1, 2], [1, 2])]) == 0.0
         split, splitU = decompose_nonneg(sigma, omega), decompose_nonneg(sigmaU, omegaU)
         back = U @ splitU.singular.matrix @ U.conj().T
         assert max_abs(split.singular.matrix - back) <= PART_REL * max_abs(S)

@@ -377,14 +377,15 @@ class TestMain:
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("kind", ["classify", "dominate", "decompose"])
     def test_overflow_is_non_finite(self, kind, capsysbinary):
-        t = np.array([[1e308, 1e308], [-1e308, 1.0]])
-        fields = {"kind": kind, "t": enc_matrix(t)}
-        if kind == "decompose":
-            fields["omega"] = enc_matrix(np.eye(2))
-        code, out = self.run([kind], payload(**fields), capsysbinary)
-        assert code == 2
-        decoded = json.loads(out)  # exactly one JSON document
-        assert decoded["error"]["code"] == "NON_FINITE"
+        # the second is PSD: Re t and ||t|| overflow although t is finite
+        for t in (np.array([[1e308, 1e308], [-1e308, 1.0]]), np.full((2, 2), 1e308)):
+            fields = {"kind": kind, "t": enc_matrix(t)}
+            if kind == "decompose":
+                fields["omega"] = enc_matrix(np.eye(2))
+            code, out = self.run([kind], payload(**fields), capsysbinary)
+            assert code == 2
+            decoded = json.loads(out)  # exactly one JSON document
+            assert decoded["error"]["code"] == "NON_FINITE"
 
 
 def _doc(kind, check=None, tol=None, **matrices):

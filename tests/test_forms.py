@@ -22,7 +22,7 @@ from formleb import (
 )
 from formleb.errors import DimensionMismatch
 
-from conftest import crandn, max_abs, random_hermitian, random_psd
+from conftest import crandn, max_abs, random_hermitian, random_psd, random_unitary
 
 T3 = np.diag([-1.0, 1.0, 0.0])
 ONES2 = np.array([[1.0, 1.0], [1.0, 1.0]])
@@ -140,6 +140,11 @@ class TestNonNegativeForm:
                 lhs = abs(s.evaluate(phi, psi)) ** 2
                 rhs = s.quadratic(phi).real * s.quadratic(psi).real
                 assert lhs <= rhs * (1 + 1e-9) + 1e-9
+
+    def test_takes_no_partition(self):
+        # a caller's partition skipped the PSD check of the dropped entries
+        with pytest.raises(TypeError):
+            NonNegativeForm([[1.0, 2.0], [2.0, 1.0]], groups=[np.arange(2)[:, None]])
 
     def test_psd_at_matches_is_psd(self, rng):
         skew = np.array([[0.0, 5e-10], [0.0, 0.0]])  # asymmetry within the default slack
@@ -311,6 +316,47 @@ class TestClassifyRange:
             rc = classify_range(SesquilinearForm(A))
             assert rc.sector
             assert rc.sector_constant <= aperture + 1e-7
+
+    @staticmethod
+    def flags(rc):
+        return rc.nonneg, rc.real, rc.quadrant, rc.halfplane, rc.sector
+
+    def test_unitary_congruence(self, rng):
+        # A = Re + i Im with Re = diag(lam), lam in [0.5, 2] or 0 (rank >= 1),
+        # and Im either zero on ker(Re) (a finite sector) or generic; the
+        # quadratic values of U* A U are those of A, so every answer is too
+        sectors = 0
+        for _ in range(600):
+            n = int(rng.integers(1, 7))
+            rank = int(rng.integers(1, n + 1))
+            lam = rng.permutation(np.r_[rng.uniform(0.5, 2.0, rank), np.zeros(n - rank)])
+            im = random_hermitian(rng, n)
+            if rng.random() < 0.5:
+                im *= np.outer(lam > 0, lam > 0)
+            A = np.diag(lam) + 1j * im
+            U = random_unitary(rng, n)
+            rc = classify_range(SesquilinearForm(A))
+            rcU = classify_range(SesquilinearForm(U.conj().T @ A @ U))
+            assert self.flags(rcU) == self.flags(rc)
+            if rc.sector:
+                sectors += 1
+                assert rcU.sector_constant == pytest.approx(rc.sector_constant, rel=1e-12)
+        assert sectors >= 300
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the kernel cutoff is relative to lambda_max(Re) alone: Re of a "
+        "congruent copy of i Im is round-off, and its sector constant ~1e16 is "
+        "reported finite",
+    )
+    def test_unitary_congruence_zero_real_part(self, rng):
+        # Re(U* A U) has all eigenvalues positive in about one draw in ten
+        for n in (1, 2) * 50:
+            A = 1j * random_hermitian(rng, n)
+            U = random_unitary(rng, n)
+            rc = classify_range(SesquilinearForm(A))
+            rcU = classify_range(SesquilinearForm(U.conj().T @ A @ U))
+            assert self.flags(rcU) == self.flags(rc)
 
 
 class TestBoundedBy:

@@ -24,11 +24,10 @@ from formleb import (
     is_strongly_singular,
     kernel_basis,
     operator_norm,
-    pinv_sqrt,
     singularity_sufficient,
 )
 
-from conftest import crandn, max_abs, random_hermitian, random_psd
+from conftest import crandn, max_abs, pinv_sqrt, random_hermitian, random_psd
 
 T3 = SesquilinearForm(np.diag([-1.0, 1.0, 0.0]))
 SIGMA3 = NonNegativeForm(np.diag([1.0, 1.0, 0.0]))
@@ -55,43 +54,44 @@ def random_dominated_pair(rng, n):
 class TestBuildContext:
     def test_worked_example_projector(self):
         ctx = build_context(SIGMA3, OMEGA3)
-        assert ctx.ref_kernel_image.shape == (3, 1)
-        assert np.allclose(np.abs(ctx.ref_kernel_image[:, 0]), [1.0, 0.0, 0.0])
-        assert np.allclose(ctx.ac_proj, np.diag([0.0, 1.0, 1.0]), atol=1e-12)
+        assert ctx.dense("ref_kernel_image").shape == (3, 1)
+        assert np.allclose(np.abs(ctx.dense("ref_kernel_image")[:, 0]), [1.0, 0.0, 0.0])
+        assert np.allclose(ctx.dense("ac_proj"), np.diag([0.0, 1.0, 1.0]), atol=1e-12)
 
     def test_u_example_skew_projector(self):
         # the oblique projector phi -> (4/5 phi2, phi2, phi3), conjugated into
         # the combined metric
         ctx = build_context(U3, OMEGA3)
         P_oblique = np.array([[0.0, 0.8, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-        assert max_abs(ctx.ac_proj @ ctx.gram_half - ctx.gram_half @ P_oblique) < 1e-10
+        P, Gh = ctx.dense("ac_proj"), ctx.dense("gram_half")
+        assert max_abs(P @ Gh - Gh @ P_oblique) < 1e-10
 
     def test_zero_reference_kills_everything(self, rng):
         sigma = NonNegativeForm(random_psd(rng, 3))
         ref = NonNegativeForm(np.zeros((3, 3)))
         ctx = build_context(sigma, ref)
-        assert max_abs(ctx.ac_proj) < 1e-12
-        assert ctx.ref_kernel_image.shape[1] == 3
+        assert max_abs(ctx.dense("ac_proj")) < 1e-12
+        assert ctx.dense("ref_kernel_image").shape[1] == 3
 
     def test_projector_identities(self, rng):
         for n in (2, 4, 6):
             sigma = NonNegativeForm(random_psd(rng, n, rng.integers(1, n + 1)))
             ref = NonNegativeForm(random_psd(rng, n, rng.integers(0, n + 1)))
             ctx = build_context(sigma, ref)
-            P = ctx.ac_proj
+            P = ctx.dense("ac_proj")
             assert max_abs(P @ P - P) < n * 1e-9
             assert max_abs(P - P.conj().T) < n * 1e-9
-            if ctx.ref_kernel_image.shape[1]:
-                assert max_abs(P @ ctx.ref_kernel_image) < n * 1e-9
+            if ctx.dense("ref_kernel_image").shape[1]:
+                assert max_abs(P @ ctx.dense("ref_kernel_image")) < n * 1e-9
             # P stays below the range projector of the combined metric
-            gap_eigs = np.linalg.eigvalsh(ctx.range_proj - P)
+            gap_eigs = np.linalg.eigvalsh(ctx.dense("range_proj") - P)
             assert gap_eigs[0] > -1e-9
 
     def test_contraction_norm_bounded(self, rng):
         for n in (2, 3, 5):
             form, dom, ref = random_dominated_pair(rng, n)
             ctx = build_context(dom, ref, form=form)
-            assert operator_norm(ctx.contraction) <= 1.0 + 1e-9
+            assert operator_norm(ctx.dense("contraction")) <= 1.0 + 1e-9
 
     def test_rejects_non_dominating(self):
         with pytest.raises(NotDominating):

@@ -3,17 +3,21 @@
 import numpy as np
 import pytest
 
+import formleb
 from formleb import (
-    NotPSD,
+    NonFinite,
     Tolerance,
     is_psd,
     kernel_basis,
     operator_norm,
-    pinv_sqrt,
-    psd_sqrt,
 )
 
-from conftest import crandn, max_abs, random_psd
+from conftest import crandn, max_abs, pinv_sqrt, random_psd
+
+
+def test_every_export_resolves():
+    for name in formleb.__all__:
+        assert hasattr(formleb, name), name
 
 
 def test_tolerance_validation():
@@ -31,38 +35,9 @@ def test_non_finite_entries_rejected():
         is_psd(np.array([[np.inf, 0.0], [0.0, 1.0]]))
 
 
-class TestPsdSqrt:
-    def test_identity(self):
-        assert np.allclose(psd_sqrt(np.eye(3)), np.eye(3))
-
-    def test_diagonal(self):
-        assert np.allclose(psd_sqrt(np.diag([4.0, 0.0])), np.diag([2.0, 0.0]))
-
-    def test_square_back(self):
-        H = np.diag([1.0, 2.0, 1.0])
-        R = psd_sqrt(H)
-        assert max_abs(R @ R - H) < 3e-9
-        assert np.allclose(R, np.diag([1.0, np.sqrt(2.0), 1.0]))
-
-    def test_square_back_random(self, rng):
-        for n in (2, 4, 6):
-            for rank in (1, n // 2 or 1, n):
-                H = random_psd(rng, n, rank)
-                R = psd_sqrt(H)
-                assert is_psd(R)
-                assert max_abs(R @ R - H) < n * 1e-9
-
-    def test_rejects_indefinite(self):
-        with pytest.raises(NotPSD):
-            psd_sqrt(np.diag([-1.0, 1.0, 0.0]))
-
-    def test_clamps_slack_negatives(self):
-        H = np.diag([-1e-10, 1.0])
-        R = psd_sqrt(H)
-        assert R[0, 0] == 0.0
-
-
 class TestPinvSqrt:
+    """The pseudo-inverse square root that `eig_pinv_sqrt` makes from `psd_eigh`."""
+
     def test_diagonal(self):
         assert np.allclose(pinv_sqrt(np.diag([4.0, 0.0])), np.diag([0.5, 0.0]))
 
@@ -131,3 +106,10 @@ class TestOperatorNorm:
 
     def test_zero(self):
         assert operator_norm(np.zeros((3, 3))) == 0.0
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflow_is_non_finite(self):
+        # finite entries, norms 2e308 and 2.1e308 (a 1 x 1 block takes no svd)
+        for A in (np.full((2, 2), 1e308), np.full((3, 1, 1), 1.5e308 + 1.5e308j)):
+            with pytest.raises(NonFinite):
+                operator_norm(A)
