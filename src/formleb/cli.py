@@ -116,7 +116,7 @@ class ResultOutput:
 
 
 def _number(value: Any, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if type(value) not in (int, float):  # json.loads makes exact types; bool is neither
         raise ParseError("SCHEMA_VIOLATION", path, "expected a number")
     try:
         number = float(value)
@@ -127,19 +127,40 @@ def _number(value: Any, path: str) -> float:
     return number
 
 
-def _complex_pair(value: Any, path: str) -> complex:
-    if not isinstance(value, list) or len(value) != 2:
+def _check_pair(value: Any, path: str) -> None:
+    if type(value) is not list or len(value) != 2:
         raise ParseError("SCHEMA_VIOLATION", path, "expected a [re, im] pair")
-    return complex(_number(value[0], f"{path}[0]"), _number(value[1], f"{path}[1]"))
+    _number(value[0], f"{path}[0]")
+    _number(value[1], f"{path}[1]")
+
+
+def _bulk_complex(rows: list, shape: tuple[int, ...]) -> np.ndarray | None:
+    """Rows of [re, im] pairs as one complex array, converted in one call;
+    None when an entry is not a pair of finite numbers (the caller's walk names it)."""
+    if not all(type(e) is list and len(e) == 2 for row in rows for e in row):
+        return None
+    leaves = [x for row in rows for e in row for x in e]
+    if not set(map(type, leaves)) <= {int, float}:
+        return None
+    try:
+        values = np.array(leaves, dtype=float)
+    except OverflowError:  # an integer literal beyond the float range
+        return None
+    if not np.isfinite(values).all():
+        return None
+    return values.view(complex).reshape(shape)
 
 
 def _parse_matrix(value: Any, path: str) -> np.ndarray:
     if not isinstance(value, list) or not value:
         raise ParseError("SCHEMA_VIOLATION", path, "expected a non-empty matrix")
     n = len(value)
-    rows = []
+    if all(type(row) is list and len(row) == n for row in value):
+        matrix = _bulk_complex(value, (n, n))
+        if matrix is not None:
+            return matrix
     for i, row in enumerate(value):
-        if not isinstance(row, list):
+        if type(row) is not list:
             raise ParseError("SCHEMA_VIOLATION", f"{path}[{i}]", "expected a matrix row")
         if len(row) != n:
             raise ParseError(
@@ -147,19 +168,20 @@ def _parse_matrix(value: Any, path: str) -> np.ndarray:
                 f"{path}[{i}]",
                 f"matrix must be square: row {i} has {len(row)} entries, expected {n}",
             )
-        rows.append(
-            [_complex_pair(entry, f"{path}[{i}][{j}]") for j, entry in enumerate(row)]
-        )
-    return np.array(rows, dtype=complex)
+        for j, entry in enumerate(row):
+            _check_pair(entry, f"{path}[{i}][{j}]")
+    raise AssertionError("the bulk decoder and the walk disagree")
 
 
 def _parse_measure(value: Any, path: str) -> np.ndarray:
     if not isinstance(value, list) or not value:
         raise ParseError("SCHEMA_VIOLATION", path, "expected a non-empty array")
-    return np.array(
-        [_complex_pair(entry, f"{path}[{i}]") for i, entry in enumerate(value)],
-        dtype=complex,
-    )
+    measure = _bulk_complex([value], (len(value),))
+    if measure is not None:
+        return measure
+    for i, entry in enumerate(value):
+        _check_pair(entry, f"{path}[{i}]")
+    raise AssertionError("the bulk decoder and the walk disagree")
 
 
 def _parse_tol(value: Any, base: Tolerance) -> Tolerance:
@@ -183,6 +205,8 @@ def parse_input(data: bytes, base_tol: Tolerance = DEFAULT_TOL) -> ProblemInput:
         obj = json.loads(data.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ParseError("MALFORMED_JSON", "", f"input is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ParseError("MALFORMED_JSON", "", "input nests too deeply") from None
     if not isinstance(obj, dict):
         raise ParseError("SCHEMA_VIOLATION", "", "top-level value must be an object")
 
@@ -284,16 +308,16 @@ def parse_input(data: bytes, base_tol: Tolerance = DEFAULT_TOL) -> ProblemInput:
     )
 
 
-def _encode_complex(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
+class _Pairs(list):
+    """A matrix or measure as nested [re, im] lists that keep their float64
+    (..., 2) array, so _serialize formats every number in one call."""
 
+    __slots__ = ("array",)
 
-def _encode_matrix(M: np.ndarray) -> list:
-    return [[_encode_complex(entry) for entry in row] for row in np.asarray(M, dtype=complex)]
-
-
-def _encode_measure(values: np.ndarray) -> list:
-    return [_encode_complex(entry) for entry in np.asarray(values, dtype=complex)]
+    def __init__(self, values: np.ndarray):
+        z = np.array(values, dtype=complex)  # a C-ordered copy: its float view is (..., 2)
+        self.array = z.view(float).reshape(z.shape + (2,))
+        super().__init__(self.array.tolist())
 
 
 def _nonneg(problem: ProblemInput, key: str) -> NonNegativeForm:
@@ -330,11 +354,11 @@ def _run_decompose(problem: ProblemInput) -> tuple[dict, dict]:
         triple.regular.matrix + triple.mixed.matrix + triple.strongly_singular.matrix
     )
     results = {
-        "t_r": _encode_matrix(triple.regular.matrix),
-        "t_m": _encode_matrix(triple.mixed.matrix),
-        "t_ss": _encode_matrix(triple.strongly_singular.matrix),
-        "sigma_a": _encode_matrix(triple.witnesses.absolutely_continuous.matrix),
-        "sigma_s": _encode_matrix(triple.witnesses.singular.matrix),
+        "t_r": _Pairs(triple.regular.matrix),
+        "t_m": _Pairs(triple.mixed.matrix),
+        "t_ss": _Pairs(triple.strongly_singular.matrix),
+        "sigma_a": _Pairs(triple.witnesses.absolutely_continuous.matrix),
+        "sigma_s": _Pairs(triple.witnesses.singular.matrix),
     }
     diagnostics = {
         "dim": form.dim,
@@ -343,7 +367,7 @@ def _run_decompose(problem: ProblemInput) -> tuple[dict, dict]:
         "exactness_residual": float(np.max(np.abs(total - form.matrix))),
     }
     if not provided:
-        results["sigma"] = _encode_matrix(dom.matrix)
+        results["sigma"] = _Pairs(dom.matrix)
     return results, diagnostics
 
 
@@ -354,8 +378,8 @@ def _run_decompose_nonneg(problem: ProblemInput) -> tuple[dict, dict]:
     split = decompose_nonneg(sigma, ref, tol)
     residual = float(np.max(np.abs(split.total - sigma.matrix)))
     results = {
-        "sigma_a": _encode_matrix(split.absolutely_continuous.matrix),
-        "sigma_s": _encode_matrix(split.singular.matrix),
+        "sigma_a": _Pairs(split.absolutely_continuous.matrix),
+        "sigma_s": _Pairs(split.singular.matrix),
     }
     diagnostics = {
         "dim": sigma.dim,
@@ -396,7 +420,7 @@ def _run_dominate(problem: ProblemInput) -> tuple[dict, dict]:
     form = SesquilinearForm(problem.matrices["t"])
     dom = construct_dominating(form, problem.tol)
     verified = is_dominating(dom, form, problem.tol)
-    return {"sigma": _encode_matrix(dom.matrix)}, {
+    return {"sigma": _Pairs(dom.matrix)}, {
         "dim": form.dim,
         "membership_verified": verified,
         "norm_t": operator_norm(form.matrix),
@@ -410,8 +434,8 @@ def _run_measure(problem: ProblemInput) -> tuple[dict, dict]:
     nu = ComplexMeasure(space, problem.measures["nu"])
     split = decompose_via_forms(mu, nu, problem.tol)
     results = {
-        "mu_a": _encode_measure(split.absolutely_continuous.values),
-        "mu_s": _encode_measure(split.singular.values),
+        "mu_a": _Pairs(split.absolutely_continuous.values),
+        "mu_s": _Pairs(split.singular.values),
         "support": list(split.support),
     }
     return results, {"atoms": space.k}
@@ -475,16 +499,37 @@ def run_command(
     return ResultOutput(problem.input_sha256, "ok", None, results, diagnostics)
 
 
-def _format_number(x: float) -> str:
-    # 17 significant digits: lossless float round-trip, locale-free
-    if x != x or x in (float("inf"), float("-inf")):
+def _string(s: str) -> str:
+    try:
+        s.encode("utf-8")
+    except UnicodeEncodeError:  # a lone surrogate: \uXXXX escapes keep the output UTF-8
+        return json.dumps(s)
+    return json.dumps(s, ensure_ascii=False)
+
+
+def _join(parts: list[str], brackets: str, indent: int | None, level: int) -> str:
+    if not parts:
+        return brackets
+    pad = "" if indent is None else "\n" + " " * (indent * (level + 1))
+    endpad = "" if indent is None else "\n" + " " * (indent * level)
+    return f"{brackets[0]}{pad}{(',' + pad).join(parts)}{endpad}{brackets[1]}"
+
+
+def _template(shape: tuple[int, ...], indent: int | None, level: int) -> str:
+    """%-format template that lays out an array of this shape as nested lists,
+    every number at 17 significant digits (lossless, locale-free)."""
+    if not shape:
+        return "%.17g"
+    return _join([_template(shape[1:], indent, level + 1)] * shape[0], "[]", indent, level)
+
+
+def _numbers(values: np.ndarray, indent: int | None, level: int) -> str:
+    if not np.isfinite(values).all():
         raise ValueError("non-finite number in output")
-    return format(float(x), ".17g")
+    return _template(values.shape, indent, level) % tuple(values.ravel().tolist())
 
 
 def _serialize(obj: Any, indent: int | None, level: int) -> str:
-    pad = "" if indent is None else "\n" + " " * (indent * (level + 1))
-    endpad = "" if indent is None else "\n" + " " * (indent * level)
     if obj is None:
         return "null"
     if isinstance(obj, bool):
@@ -492,24 +537,20 @@ def _serialize(obj: Any, indent: int | None, level: int) -> str:
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, float):
-        return _format_number(obj)
+        return _numbers(np.array(obj), indent, level)
     if isinstance(obj, str):
-        return json.dumps(obj, ensure_ascii=False)
+        return _string(obj)
+    if isinstance(obj, _Pairs):
+        return _numbers(obj.array, indent, level)
     if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        inner = ("," + pad).join(_serialize(v, indent, level + 1) for v in obj)
-        return f"[{pad}{inner}{endpad}]"
+        return _join([_serialize(v, indent, level + 1) for v in obj], "[]", indent, level)
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
         colon = ":" if indent is None else ": "
-        inner = ("," + pad).join(
-            f"{json.dumps(str(k), ensure_ascii=False)}{colon}"
-            f"{_serialize(v, indent, level + 1)}"
+        parts = [
+            f"{_string(str(k))}{colon}{_serialize(v, indent, level + 1)}"
             for k, v in sorted(obj.items())
-        )
-        return f"{{{pad}{inner}{endpad}}}"
+        ]
+        return _join(parts, "{}", indent, level)
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 

@@ -2,14 +2,21 @@
 
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from formleb.cli import (
     CHECK_KINDS,
     KINDS,
     ParseError,
+    ResultOutput,
+    _Pairs,
+    _parse_matrix,
+    _parse_measure,
     emit_output,
     main,
     parse_input,
@@ -535,3 +542,240 @@ def test_output_bytes_pinned(name):
     problem = parse_input(raw) if raw is not None else None
     out = emit_output(run_command(cmd, problem))
     assert hashlib.sha256(out).hexdigest() == digest
+
+
+# -- bulk codec: parity with the per-entry reference -------------------------
+
+
+def _ref_number(value, path):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ParseError("SCHEMA_VIOLATION", path, "expected a number")
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ParseError("SCHEMA_VIOLATION", path, "expected a finite number")
+    return number
+
+
+def _ref_pair(value, path):
+    if not isinstance(value, list) or len(value) != 2:
+        raise ParseError("SCHEMA_VIOLATION", path, "expected a [re, im] pair")
+    return complex(_ref_number(value[0], f"{path}[0]"), _ref_number(value[1], f"{path}[1]"))
+
+
+def ref_parse_matrix(value, path):
+    """The per-entry decoder the bulk one replaces."""
+    if not isinstance(value, list) or not value:
+        raise ParseError("SCHEMA_VIOLATION", path, "expected a non-empty matrix")
+    n = len(value)
+    rows = []
+    for i, row in enumerate(value):
+        if not isinstance(row, list):
+            raise ParseError("SCHEMA_VIOLATION", f"{path}[{i}]", "expected a matrix row")
+        if len(row) != n:
+            raise ParseError(
+                "DIM_MISMATCH",
+                f"{path}[{i}]",
+                f"matrix must be square: row {i} has {len(row)} entries, expected {n}",
+            )
+        rows.append([_ref_pair(entry, f"{path}[{i}][{j}]") for j, entry in enumerate(row)])
+    return np.array(rows, dtype=complex)
+
+
+def ref_parse_measure(value, path):
+    if not isinstance(value, list) or not value:
+        raise ParseError("SCHEMA_VIOLATION", path, "expected a non-empty array")
+    return np.array([_ref_pair(entry, f"{path}[{i}]") for i, entry in enumerate(value)], dtype=complex)
+
+
+def ref_serialize(obj, indent, level):
+    """The per-number encoder the template one replaces."""
+    pad = "" if indent is None else "\n" + " " * (indent * (level + 1))
+    endpad = "" if indent is None else "\n" + " " * (indent * level)
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise ValueError("non-finite number in output")
+        return format(obj, ".17g")
+    if isinstance(obj, str):
+        return json.dumps(obj, ensure_ascii=False)
+    if isinstance(obj, list):
+        if not obj:
+            return "[]"
+        inner = ("," + pad).join(ref_serialize(v, indent, level + 1) for v in obj)
+        return f"[{pad}{inner}{endpad}]"
+    colon = ":" if indent is None else ": "
+    inner = ("," + pad).join(
+        f"{json.dumps(k, ensure_ascii=False)}{colon}{ref_serialize(v, indent, level + 1)}"
+        for k, v in sorted(obj.items())
+    )
+    return f"{{{pad}{inner}{endpad}}}" if obj else "{}"
+
+
+def _outcome(decode, value):
+    try:
+        return decode(value, "m")
+    except ParseError as exc:
+        return (exc.code, exc.path, str(exc))
+
+
+numbers = st.one_of(
+    st.integers(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([2**63 + 1, 2**53 + 1, -0.0, 5e-324, 1.7976931348623157e308]),
+)
+junk = st.one_of(
+    st.sampled_from([10**400, -(10**400), math.nan, math.inf, -math.inf, True, False, None]),
+    st.text(max_size=2),
+    st.dictionaries(st.text(max_size=1), st.integers(), max_size=2),
+    st.lists(numbers, max_size=3),
+)
+
+
+def mostly(good, bad, odds=20):
+    """good odds - 1 times in odds, bad otherwise."""
+    return st.integers(1, odds).flatmap(lambda k: bad if k == odds else good)
+
+
+leaves = mostly(numbers, junk)
+valid_pairs = st.lists(numbers, min_size=2, max_size=2)
+bad_pairs = st.one_of(junk, st.lists(leaves, min_size=1, max_size=3))
+pairs = mostly(st.lists(leaves, min_size=2, max_size=2), bad_pairs)
+measures = mostly(st.lists(pairs, max_size=5), junk)
+bad_rows = st.one_of(junk, st.lists(pairs, max_size=5))
+square = st.integers(0, 4).flatmap(
+    lambda n: st.lists(
+        mostly(st.lists(pairs, min_size=n, max_size=n), bad_rows, 8), min_size=n, max_size=n
+    )
+)
+ragged = st.lists(st.lists(valid_pairs, max_size=5), min_size=1, max_size=4)
+matrices = mostly(square, st.one_of(junk, ragged), 8)
+
+
+class TestCodecParity:
+    @settings(max_examples=300, deadline=None)
+    @given(value=matrices)
+    def test_matrix_decode(self, value):
+        self.check(_parse_matrix, ref_parse_matrix, value)
+
+    @settings(max_examples=300, deadline=None)
+    @given(value=measures)
+    def test_measure_decode(self, value):
+        self.check(_parse_measure, ref_parse_measure, value)
+
+    @staticmethod
+    def check(decode, reference, value):
+        got, want = _outcome(decode, value), _outcome(reference, value)
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert got.dtype == np.complex128 and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()  # every bit, -0.0 included
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        shape=st.sampled_from([(1,), (3,), (1, 1), (2, 2), (4, 4)]),
+        data=st.data(),
+        finite=st.integers(0, 9).map(bool),  # one draw in ten may hold NaN or an infinity
+    )
+    def test_encode(self, shape, data, finite):
+        extremes = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]
+        floats = st.one_of(
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.sampled_from(extremes if finite else extremes + [math.nan, math.inf, -math.inf]),
+        )
+        flat = data.draw(st.lists(floats, min_size=2 * math.prod(shape), max_size=2 * math.prod(shape)))
+        array = np.array(flat).reshape(shape + (2,))
+        encoded = {"m": _Pairs(array.view(complex)[..., 0]), "c": flat[0]}
+        result = ResultOutput("x", "ok", None, encoded, {"n": 1})
+        plain = ResultOutput("x", "ok", None, {"m": array.tolist(), "c": flat[0]}, {"n": 1})
+        for indent, pretty in ((None, False), (2, True)):
+            try:
+                want = (ref_serialize(plain.to_obj(), indent, 0) + "\n").encode()
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=str(exc)):
+                    emit_output(result, pretty=pretty)
+            else:
+                assert emit_output(result, pretty=pretty) == want
+
+
+# -- any bytes in, one JSON document out --------------------------------------
+
+SURROGATE_KEY = b'{"\\ud800": 1}'
+SURROGATE_ATOM = payload(kind="measure", atoms=["\ud800", "b"], mu=[[1, 0], [2, 0]], nu=[[1, 0], [0, 0]])
+DEEP = b"[" * 200000
+
+
+def run_file(tmp, cmd, raw, capsysbinary):
+    """(exit code, stdout) of `formleb cmd --input FILE` for a file holding raw."""
+    src = tmp / "in.json"
+    src.write_bytes(raw)
+    code = main([cmd, "--input", str(src)])
+    out, _ = capsysbinary.readouterr()
+    return code, out
+
+
+def one_document(out: bytes) -> dict:
+    text = out.decode("utf-8")  # strict: a lone surrogate cannot be written
+    assert text.endswith("\n") and text.count("\n") == 1
+    return json.loads(text)  # rejects trailing data
+
+
+@pytest.mark.parametrize(
+    "cmd, raw, code, error",
+    [
+        ("classify", DEEP, 1, ("MALFORMED_JSON", "", "input nests too deeply")),
+        ("classify", SURROGATE_KEY, 1, ("SCHEMA_VIOLATION", "\ud800", "unknown field")),
+        ("measure", SURROGATE_ATOM, 0, None),
+    ],
+    ids=["deep-nesting", "surrogate-key", "surrogate-atom"],
+)
+def test_hostile_documents(tmp_path, capsysbinary, cmd, raw, code, error):
+    got, out = run_file(tmp_path, cmd, raw, capsysbinary)
+    doc = one_document(out)
+    assert got == code
+    if error is None:
+        assert doc["results"]["support"] == ["\ud800"]
+    else:
+        assert (doc["error"]["code"], doc["error"]["path"], doc["error"]["message"]) == error
+
+
+PINNED_DOCS = [(cmd, raw) for cmd, raw, _ in PINNED_OUTPUTS.values() if raw is not None]
+
+
+@st.composite
+def mutated_documents(draw):
+    """(subcommand, a pinned document with a few bytes replaced, inserted or deleted)."""
+    cmd, raw = draw(st.sampled_from(PINNED_DOCS))
+    doc = bytearray(raw)
+    for _ in range(draw(st.integers(1, 6))):
+        i = draw(st.integers(0, len(doc)))
+        op = draw(st.sampled_from(("replace", "insert", "delete")))
+        if op == "insert" or i == len(doc):
+            doc.insert(i, draw(st.integers(0, 255)))
+        elif op == "replace":
+            doc[i] = draw(st.integers(0, 255))
+        else:
+            del doc[i]
+    return cmd, bytes(doc)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=st.one_of(st.tuples(st.sampled_from(KINDS), st.binary(max_size=64)), mutated_documents()))
+@example(case=("classify", DEEP))
+@example(case=("classify", SURROGATE_KEY))
+@example(case=("measure", SURROGATE_ATOM))
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # mutated numbers may overflow in the engine
+def test_fuzz_main(tmp_path, capsysbinary, case):
+    cmd, raw = case
+    code, out = run_file(tmp_path, cmd, raw, capsysbinary)
+    doc = one_document(out)
+    assert code in (0, 1, 2)
+    assert doc["status"] == ("ok" if code == 0 else "error")
