@@ -203,7 +203,7 @@ def parse_input(data: bytes, base_tol: Tolerance = DEFAULT_TOL) -> ProblemInput:
     sha = hashlib.sha256(data).hexdigest()
     try:
         obj = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # bad UTF-8 or JSON, or an integer past the int-string limit
         raise ParseError("MALFORMED_JSON", "", f"input is not valid JSON: {exc}") from None
     except RecursionError:
         raise ParseError("MALFORMED_JSON", "", "input nests too deeply") from None

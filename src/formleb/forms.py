@@ -27,7 +27,6 @@ from .linalg import (
     freeze,
     gather,
     hermitize,
-    is_psd,
     join,
     leading_columns,
     max_asymmetry,
@@ -177,8 +176,10 @@ class NonNegativeForm(SesquilinearForm):
         self.__post_init__()
 
     def __post_init__(self):
-        super().__post_init__()
-        self.__dict__["asymmetry"] = max(map(max_asymmetry, self.blocks))
+        asymmetry = list(map(max_asymmetry, self.blocks))
+        if not sum(asymmetry) < np.inf:  # a non-finite entry makes its block's so
+            super().__post_init__()
+        self.__dict__["asymmetry"] = max(asymmetry)
         if self.asymmetry <= DEFAULT_TOL.cmp_abs:
             lam = block_eigvalsh(self.blocks)
             lam.flags.writeable = False
@@ -281,18 +282,19 @@ def compressed_norm(
     blocks: list[np.ndarray],
     n: int,
     tol: Tolerance,
+    scale: float | None = None,
 ) -> float | None:
     """Norm of A compressed by the pseudo-inverse square root of a PSD W.
 
     W and A are n x n and block-diagonal on the same index groups: `eigs`
     holds W's eigensystem per group (as `NonNegativeForm.block_eigenpairs`
     gives it) and `blocks` the matching blocks of A (as `linalg.gather` gives
-    them). The kernel
-    cutoff rank_rel * lambda_max(W) and the annihilation threshold
-    n * rank_rel * max(1, ||A||) are those of the whole matrices. None when
-    ker(W) fails to annihilate A or A*, i.e. when no multiple of W dominates A.
+    them). The kernel cutoff is rank_rel * scale, scale defaulting to
+    lambda_max(W), and the annihilation threshold n * rank_rel * max(1, ||A||)
+    is that of the whole matrices. None when ker(W) fails to annihilate A or
+    A*, i.e. when no multiple of W dominates A.
     """
-    cutoff = tol.rank_rel * top_eigenvalue(eigs)
+    cutoff = tol.rank_rel * (top_eigenvalue(eigs) if scale is None else scale)
     norm = None  # ||A||, needed only when W has a kernel
     result = 0.0
     for (lam, V), A in zip(eigs, blocks):
@@ -300,10 +302,9 @@ def compressed_norm(
         if K.shape[-1]:
             if norm is None:
                 norm = max(map(operator_norm, blocks))
-            if not (
-                annihilates(A, K, tol, norm, n)
-                and annihilates(A.conj().swapaxes(-1, -2), K, tol, norm, n)
-            ):
+            both = np.empty((2,) + A.shape, dtype=complex)  # A and A*, one product
+            both[0], both[1] = A, A.conj().swapaxes(-1, -2)
+            if not annihilates(both, K, tol, norm, n):
                 return None
         Wph = eig_pinv_sqrt(lam, V, cutoff)
         result = max(result, operator_norm(Wph @ A @ Wph))
@@ -391,32 +392,34 @@ def classify_range(form: SesquilinearForm, tol: Tolerance = DEFAULT_TOL) -> Rang
     for R, and non-negativity of the real/imaginary parts for the half-plane and
     quadrant. The smallest sector constant is the boundedness constant of
     Im(A) relative to Re(A), and exactly 0 when Im(A) and -Im(A) are PSD.
-    Raises NonFinite when Re(A) or its spectrum overflows; the checks that
-    read Im(A) raise it for Im(A).
+    The kernel of Re(A) is cut at rank_rel * max(lambda_max(Re), max |lambda(Im)|),
+    so a real part that is round-off next to Im(A) counts as zero. Raises
+    NonFinite when Re(A) or its spectrum overflows; the checks that read
+    Im(A) raise it for Im(A) or its spectrum.
     """
     A = form.matrix
     re = hermitize(A)
-    im = (A - A.conj().T) / 2j
     require_finite(re, "real part")
-    lam = np.linalg.eigvalsh(re)
+    lam, V = np.linalg.eigh(re[None])
     require_finite(lam, "spectrum of the real part")
     real = max_asymmetry(A) <= tol.cmp_abs
-    nonneg = real and bool(lam[0] >= -tol.psd_abs)
-    # hermitize(re) equals re up to the sign of zero entries; where a sign
-    # differs, eigvalsh may differ in the last bit, so it is factored anew
-    sym = hermitize(re)
-    lam_sym = lam if sym.tobytes() == re.tobytes() else np.linalg.eigvalsh(sym)
-    halfplane = bool(lam_sym[0] >= -tol.psd_abs)
-    quadrant = halfplane and is_psd(im, tol)
-    constant = None
-    if quadrant and is_psd(-im, tol):
-        constant = 0.0
-    elif halfplane:
-        lam_re, V = np.linalg.eigh(re[None])
-        eigs = [(np.clip(lam_re, 0.0, None), V)]
-        constant = compressed_norm(eigs, [im[None]], form.dim, tol)
+    halfplane = bool(lam[0, 0] >= -tol.psd_abs)
+    quadrant, constant = False, None
+    if halfplane:
+        im = (A - A.conj().T) / 2j
+        require_finite(im, "imaginary part")
+        lam_im = np.linalg.eigvalsh(hermitize(im))
+        require_finite(lam_im, "spectrum of the imaginary part")
+        # is_psd(im) and is_psd(-im) from one spectrum
+        quadrant = max_asymmetry(im) <= tol.cmp_abs and bool(lam_im[0] >= -tol.psd_abs)
+        if quadrant and lam_im[-1] <= tol.psd_abs:
+            constant = 0.0
+        else:
+            eigs = [(np.clip(lam, 0.0, None), V)]
+            scale = max(top_eigenvalue(eigs), -float(lam_im[0]), float(lam_im[-1]))
+            constant = compressed_norm(eigs, [im[None]], form.dim, tol, scale)
     return RangeClass(
-        nonneg=nonneg,
+        nonneg=real and halfplane,
         real=real,
         quadrant=quadrant,
         halfplane=halfplane,

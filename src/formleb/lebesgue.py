@@ -27,6 +27,7 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     InconsistentRank,
+    NonFinite,
     NotDominating,
     NotPSD,
     PreconditionViolation,
@@ -43,7 +44,6 @@ from .linalg import (
     DEFAULT_TOL,
     Tolerance,
     annihilates,
-    eig_pinv_sqrt,
     freeze,
     hermitize,
     kernel_basis,
@@ -179,9 +179,7 @@ def build_context(
     joint support, each group as one stacked call.
     """
     if dominating.dim != ref.dim:
-        raise DimensionMismatch(
-            f"dimension mismatch: {dominating.dim} vs {ref.dim}"
-        )
+        raise DimensionMismatch(f"dimension mismatch: {dominating.dim} vs {ref.dim}")
     for name, nonneg in (("dominating form", dominating), ("reference form", ref)):
         if not nonneg.psd_at(tol):
             raise NotPSD(f"{name} must be PSD")
@@ -214,42 +212,32 @@ def build_context(
     ):
         kept = lam > cutoff
         rank += int(np.count_nonzero(kept))
-        Vh = V.conj().swapaxes(-1, -2)
-        Ghalf = hermitize((V * np.where(kept, np.sqrt(lam), 0.0)[..., None, :]) @ Vh)
-        range_proj = hermitize((V * kept.astype(float)[..., None, :]) @ Vh)
+        # G^(1/2), the range projector and, with a form, G^(+1/2): V diag(w) V*
+        # for each weight w, as one stacked product
+        w = np.zeros((2 if A_b is None else 3,) + lam.shape)
+        np.sqrt(lam, out=w[0], where=kept)
+        w[1][kept] = 1.0
+        np.divide(1.0, w[0], out=w[2:], where=kept)
+        Ghalf, range_proj, *Gph = hermitize((V * w[..., None, :]) @ V.conj().swapaxes(-1, -2))
         ref_kernel = leading_columns(ref_V, ref_lam <= cutoff)
         Vimg = _orthonormal_image(Ghalf @ ref_kernel, image_cutoff)
         Phat = hermitize(range_proj - Vimg @ Vimg.conj().swapaxes(-1, -2))
-        That = None
-        if A_b is not None:
-            Gph = eig_pinv_sqrt(lam, V, cutoff)
-            That = freeze(Gph @ A_b @ Gph)
-        blocks.append(
-            ComponentBlocks(
-                dom=S_b,
-                ref=W_b,
-                gram_half=freeze(Ghalf),
-                range_proj=freeze(range_proj),
-                ref_kernel=freeze(ref_kernel),
-                ref_kernel_image=freeze(Vimg),
-                ac_proj=freeze(Phat),
-                contraction=That,
-            )
-        )
+        That = None if A_b is None else freeze(Gph[0] @ A_b @ Gph[0])
+        arrays = map(freeze, (Ghalf, range_proj, ref_kernel, Vimg, Phat))
+        blocks.append(ComponentBlocks(S_b, W_b, *arrays, contraction=That))
     return QuotientContext(n=n, cutoff=cutoff, rank=rank, groups=groups, blocks=blocks)
 
 
 def _split_from_context(ctx: QuotientContext) -> NonNegSplit:
-    ac, sing = [], []
+    parts = []  # per group, the a.c. and the singular blocks as one stack
     for blk in ctx.blocks:
         ac_plus_ref = hermitize(blk.gram_half @ blk.ac_proj @ blk.gram_half)
-        ac.append(hermitize(ac_plus_ref - blk.ref))
-        sing.append(hermitize((blk.dom + blk.ref) - ac_plus_ref))
-    return NonNegSplit(
-        absolutely_continuous=NonNegativeForm.from_blocks(ctx.groups, ac, ctx.n),
-        singular=NonNegativeForm.from_blocks(ctx.groups, sing, ctx.n),
-        gram_rank=ctx.rank,
-    )
+        both = np.empty((2,) + ac_plus_ref.shape, dtype=complex)
+        np.subtract(ac_plus_ref, blk.ref, out=both[0])
+        np.subtract(blk.dom + blk.ref, ac_plus_ref, out=both[1])
+        parts.append(hermitize(both))
+    ac, sing = (NonNegativeForm.from_blocks(ctx.groups, list(p), ctx.n) for p in zip(*parts))
+    return NonNegSplit(absolutely_continuous=ac, singular=sing, gram_rank=ctx.rank)
 
 
 def decompose_nonneg(
@@ -287,27 +275,25 @@ def decompose(
     the second, the second the other way around.
     """
     ctx = build_context(dominating, ref, form=form, tol=tol)
-    regular, cross_qp, cross_pq, strongly_singular = [], [], [], []
+    outs = []  # per group, out[x, y] = Gh X T Y Gh for X, Y in (P, Q)
     for blk in ctx.blocks:
-        Gh, T = blk.gram_half, blk.contraction
-        P, Q = blk.ac_proj, blk.range_proj - blk.ac_proj
+        Gh = blk.gram_half
+        PQ = np.empty((2,) + Gh.shape, dtype=complex)
+        PQ[0] = blk.ac_proj
+        np.subtract(blk.range_proj, blk.ac_proj, out=PQ[1])
         # left to right, as Gh @ X @ T @ Y @ Gh groups, sharing Gh @ X @ T
-        GhPT, GhQT = Gh @ P @ T, Gh @ Q @ T
-        regular.append(GhPT @ P @ Gh)
-        cross_qp.append(GhQT @ P @ Gh)
-        cross_pq.append(GhPT @ Q @ Gh)
-        strongly_singular.append(GhQT @ Q @ Gh)
+        outs.append((Gh @ PQ @ blk.contraction)[:, None] @ PQ @ Gh)
 
     def assemble(stacks):
-        return SesquilinearForm.from_blocks(ctx.groups, stacks, ctx.n)
+        return SesquilinearForm.from_blocks(ctx.groups, list(stacks), ctx.n)
 
     parts = None
     if with_cross_terms:
-        parts = (assemble(cross_qp), assemble(cross_pq))
+        parts = tuple(assemble(out[xy] for out in outs) for xy in ((1, 0), (0, 1)))
     return TripleDecomposition(
-        regular=assemble(regular),
-        mixed=assemble([qp + pq for qp, pq in zip(cross_qp, cross_pq)]),
-        strongly_singular=assemble(strongly_singular),
+        regular=assemble(out[0, 0] for out in outs),
+        mixed=assemble(out[1, 0] + out[0, 1] for out in outs),
+        strongly_singular=assemble(out[1, 1] for out in outs),
         witnesses=_split_from_context(ctx),
         mixed_parts=parts,
     )
@@ -321,9 +307,12 @@ def _rank_at(lam: np.ndarray, cutoff: float) -> int:
     return int(np.count_nonzero(lam > cutoff))
 
 
-def _dom_norm(ctx: QuotientContext) -> float:
-    """||dom||, the largest norm over the context's blocks."""
-    return max(operator_norm(blk.dom) for blk in ctx.blocks)
+def _norm(form: NonNegativeForm) -> float:
+    """||form||, read from the constructor's spectrum."""
+    norm = max(-float(form.spectrum[0]), float(form.spectrum[-1]))
+    if not norm < np.inf:
+        raise NonFinite("operator norm overflows")
+    return norm
 
 
 def _is_zero(blocks: list[np.ndarray], n: int, tol: Tolerance, scale: float) -> bool:
@@ -370,7 +359,7 @@ def is_absolutely_continuous(
     """
     ctx = build_context(sigma, ref, tol=tol)
     split = _split_from_context(ctx)
-    scale = _dom_norm(ctx)
+    scale = _norm(sigma)
     via_split = _is_zero(split.singular.blocks, sigma.dim, tol, scale)
     via_kernel = all(
         annihilates(blk.dom, blk.ref_kernel, tol, scale, sigma.dim) for blk in ctx.blocks
@@ -394,11 +383,10 @@ def is_singular_nonneg(
     """
     ctx = build_context(sigma, ref, tol=tol)
     split = _split_from_context(ctx)
-    scale = _dom_norm(ctx)
+    scale = _norm(sigma)
     via_split = _is_zero(split.absolutely_continuous.blocks, sigma.dim, tol, scale)
-    via_rank = ctx.rank == _rank_at(sigma.spectrum, ctx.cutoff) + _rank_at(
-        ref.spectrum, ctx.cutoff
-    )
+    ranks = _rank_at(sigma.spectrum, ctx.cutoff) + _rank_at(ref.spectrum, ctx.cutoff)
+    via_rank = ctx.rank == ranks
     if via_split != via_rank:
         raise InconsistentRank(
             "singularity criteria disagree (split vs rank additivity); "

@@ -75,7 +75,7 @@ def as_complex_matrix(value, name: str = "matrix") -> np.ndarray:
 
 def freeze(A: np.ndarray) -> np.ndarray:
     """A read-only C-contiguous array with the entries of A."""
-    A = np.ascontiguousarray(A)
+    A = A if A.flags.c_contiguous else np.ascontiguousarray(A)
     A.flags.writeable = False
     return A
 
@@ -98,9 +98,9 @@ def components(*matrices: np.ndarray) -> list[np.ndarray]:
     Indices i and j are joined when some matrix has a nonzero (i, j) or (j, i)
     entry. The components come back grouped by size m, ascending, as one int
     array of shape (b, m) per size; each row lists one component's indices in
-    ascending order. When some matrix has no zero in row 0, index 0 is joined
-    to every index and that check alone answers ``[arange(n)[None]]``;
-    otherwise the search costs O(n^2).
+    ascending order. A row without a zero (row 0 of each matrix is checked
+    first, then every row of the joint support) answers ``[arange(n)[None]]``
+    at once; otherwise the search costs O(n^2).
     """
     n = matrices[0].shape[0]
     for M in matrices:
@@ -109,6 +109,9 @@ def components(*matrices: np.ndarray) -> list[np.ndarray]:
     linked = _support(matrices[0])
     for M in matrices[1:]:
         linked |= _support(M)
+    np.fill_diagonal(linked, True)
+    if linked.all(axis=1).any():  # some index is joined to every other one
+        return [np.arange(n)[None, :]]
     np.fill_diagonal(linked, False)
     active = np.flatnonzero(linked.any(axis=0) | linked.any(axis=1))
     if not active.size:
@@ -227,6 +230,8 @@ def leading_columns(V: np.ndarray, mask: np.ndarray) -> np.ndarray:
 def top_eigenvalue(eigs: list[tuple[np.ndarray, np.ndarray]]) -> float:
     """The largest eigenvalue over per-group eigensystems with ascending rows
     (eigenvalues clipped at 0)."""
+    if len(eigs) == 1 and len(eigs[0][0]) == 1:  # one block: no reduction
+        return float(eigs[0][0][0, -1])
     return max(float(lam[:, -1].max()) for lam, _ in eigs)
 
 
@@ -254,6 +259,8 @@ def psd_eigh(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def block_eigvalsh(blocks: list[np.ndarray]) -> np.ndarray:
     """Ascending eigenvalues of the symmetrized matrix whose blocks (as
     `gather` gives them, one entry per group) are `blocks`."""
+    if len(blocks) == 1 and len(blocks[0]) == 1:  # one block: already ascending
+        return _eigvalsh(blocks[0])[0]
     lam = np.concatenate([_eigvalsh(B) for B in blocks], axis=None)
     lam.sort()
     return lam
@@ -311,7 +318,8 @@ def operator_norm(A) -> float:
     if M.shape[-2:] == (1, 1):  # the singular value of a 1 x 1 block a is |a|
         top = float(np.abs(M).max())
     else:
-        top = float(np.linalg.svd(M, compute_uv=False)[..., 0].max())
+        s = np.linalg.svd(M, compute_uv=False)
+        top = float(s.flat[0] if s.size == s.shape[-1] else s[..., 0].max())
     if not math.isfinite(top):
         raise NonFinite("operator norm overflows")
     return top

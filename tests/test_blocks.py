@@ -108,6 +108,14 @@ class TestComponents:
         (idx,) = components(M)
         assert idx.tolist() == [[0, 1, 2, 3]]
 
+    def test_row_without_zero_is_one_component(self):
+        # PSD (diagonally dominant), one zero pair in row 0: row 1 has no zero
+        M = 3.0 * np.eye(4) + np.ones((4, 4)) - np.eye(4) + 0j
+        M[0, 2] = M[2, 0] = 0.0
+        groups = components(M)
+        assert len(groups) == 1 and np.array_equal(groups[0], np.arange(4)[None])
+        assert [g.tolist() for g in NonNegativeForm(M).groups] == [[[0, 1, 2, 3]]]
+
     def test_chain_is_one_component(self):
         M = np.diag(np.ones(5)) + np.diag(np.ones(4), 1) + 0j  # zeros in row 0
         (idx,) = components(M)

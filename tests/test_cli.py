@@ -747,6 +747,17 @@ def test_hostile_documents(tmp_path, capsysbinary, cmd, raw, code, error):
         assert (doc["error"]["code"], doc["error"]["path"], doc["error"]["message"]) == error
 
 
+def test_integer_past_the_string_limit(tmp_path, capsysbinary):
+    # 5,001 digits: json.loads raises a plain ValueError past Python's
+    # 4,300-digit int-string limit, not a JSONDecodeError
+    raw = b'{"kind":"classify","t":1' + b"0" * 5000 + b"}"
+    got, out = run_file(tmp_path, "classify", raw, capsysbinary)
+    error = one_document(out)["error"]
+    assert got == 1
+    assert (error["code"], error["path"]) == ("MALFORMED_JSON", "")
+    assert error["message"].startswith("input is not valid JSON: ")
+
+
 PINNED_DOCS = [(cmd, raw) for cmd, raw, _ in PINNED_OUTPUTS.values() if raw is not None]
 
 

@@ -81,18 +81,18 @@ BUDGET = {
     "singularity_sufficient": (lambda f: singularity_sufficient(f.T, f.OMEGA), 5),
     "is_mixed_certificate": (
         lambda f: is_mixed_certificate(f.T2, f.OMEGA2, f.ALPHA2, f.BETA2),
-        19,
+        16,
     ),
-    "classify_range_sector": (lambda f: classify_range(f.CLASSIFY), 5),
+    "classify_range_sector": (lambda f: classify_range(f.CLASSIFY), 3),
     "dense_decompose": (lambda f: decompose(f.T_DENSE, f.OMEGA_DENSE, f.SIGMA_DENSE), 8),
     "dense_decompose_nonneg": (lambda f: decompose_nonneg(f.SIGMA_DENSE, f.OMEGA_DENSE), 5),
     "dense_is_absolutely_continuous": (
         lambda f: is_absolutely_continuous(f.SIGMA_DENSE, f.OMEGA_DENSE),
-        6,
+        5,
     ),
     "dense_is_singular_nonneg": (
         lambda f: is_singular_nonneg(f.SIGMA_DENSE, f.OMEGA_DENSE),
-        6,
+        5,
     ),
     "dense_is_bounded_by": (lambda f: is_bounded_by(f.T_DENSE, f.OMEGA_DENSE), 2),
     "dense_singularity_sufficient": (

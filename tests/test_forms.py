@@ -20,7 +20,7 @@ from formleb import (
     polarization_reconstruct,
     singularity_sufficient,
 )
-from formleb.errors import DimensionMismatch
+from formleb.errors import DimensionMismatch, NonFinite
 
 from conftest import crandn, max_abs, random_hermitian, random_psd, random_unitary
 
@@ -140,6 +140,16 @@ class TestNonNegativeForm:
                 lhs = abs(s.evaluate(phi, psi)) ** 2
                 rhs = s.quadratic(phi).real * s.quadratic(psi).real
                 assert lhs <= rhs * (1 + 1e-9) + 1e-9
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("at", [(0, 0), (1, 1), (1, 2)])
+    def test_non_finite_entry_in_any_block(self, bad, at):
+        # blocks {0} and {1, 2}: the entry may sit in either group
+        A = np.array([[1.0, 0, 0], [0, 1.0, 0.5], [0, 0.5, 1.0]], dtype=complex)
+        A[at] = bad
+        with pytest.raises(NonFinite):
+            NonNegativeForm(A)
 
     def test_takes_no_partition(self):
         # a caller's partition skipped the PSD check of the dropped entries
@@ -343,12 +353,6 @@ class TestClassifyRange:
                 assert rcU.sector_constant == pytest.approx(rc.sector_constant, rel=1e-12)
         assert sectors >= 300
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="the kernel cutoff is relative to lambda_max(Re) alone: Re of a "
-        "congruent copy of i Im is round-off, and its sector constant ~1e16 is "
-        "reported finite",
-    )
     def test_unitary_congruence_zero_real_part(self, rng):
         # Re(U* A U) has all eigenvalues positive in about one draw in ten
         for n in (1, 2) * 50:
