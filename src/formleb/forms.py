@@ -112,13 +112,6 @@ class SesquilinearForm:
             return self.blocks
         return gather(self.matrix, groups)
 
-    def diagonal(self) -> np.ndarray:
-        """The diagonal of A, read from the blocks."""
-        out = np.zeros(self.dim, dtype=complex)
-        for idx, X in zip(self.groups, self.blocks):
-            out[idx] = np.diagonal(X, axis1=-2, axis2=-1)
-        return out
-
     def evaluate(self, phi, psi) -> complex:
         """t(phi, psi); linear in phi, conjugate-linear in psi."""
         phi = _as_vector(phi, self.dim, "phi")

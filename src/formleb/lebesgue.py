@@ -44,9 +44,9 @@ from .linalg import (
     DEFAULT_TOL,
     Tolerance,
     annihilates,
+    as_complex_matrix,
     freeze,
     hermitize,
-    kernel_basis,
     leading_columns,
     operator_norm,
     psd_eigh,
@@ -252,6 +252,19 @@ def decompose_nonneg(
     return _split_from_context(build_context(sigma, ref, tol=tol))
 
 
+def _part_stacks(ctx: QuotientContext) -> list[np.ndarray]:
+    """Per group, the (2, 2, b, m, m) stack out[x, y] = Gh X T Y Gh, X, Y in (P, Q)."""
+    outs = []
+    for blk in ctx.blocks:
+        Gh = blk.gram_half
+        PQ = np.empty((2,) + Gh.shape, dtype=complex)
+        PQ[0] = blk.ac_proj
+        np.subtract(blk.range_proj, blk.ac_proj, out=PQ[1])
+        # left to right, as Gh @ X @ T @ Y @ Gh groups, sharing Gh @ X @ T
+        outs.append((Gh @ PQ @ blk.contraction)[:, None] @ PQ @ Gh)
+    return outs
+
+
 def decompose(
     form: SesquilinearForm,
     ref: NonNegativeForm,
@@ -275,14 +288,7 @@ def decompose(
     the second, the second the other way around.
     """
     ctx = build_context(dominating, ref, form=form, tol=tol)
-    outs = []  # per group, out[x, y] = Gh X T Y Gh for X, Y in (P, Q)
-    for blk in ctx.blocks:
-        Gh = blk.gram_half
-        PQ = np.empty((2,) + Gh.shape, dtype=complex)
-        PQ[0] = blk.ac_proj
-        np.subtract(blk.range_proj, blk.ac_proj, out=PQ[1])
-        # left to right, as Gh @ X @ T @ Y @ Gh groups, sharing Gh @ X @ T
-        outs.append((Gh @ PQ @ blk.contraction)[:, None] @ PQ @ Gh)
+    outs = _part_stacks(ctx)
 
     def assemble(stacks):
         return SesquilinearForm.from_blocks(ctx.groups, list(stacks), ctx.n)
@@ -468,10 +474,11 @@ def singularity_sufficient(
     if ref_rank == 0:
         return True
     Whalf = hermitize((V * np.sqrt(lam)) @ V.conj().T)
-    cutoff = np.sqrt(tol.rank_rel) * operator_norm(Whalf)
-    A = form.matrix
-    for M in (A, A.conj().T):
-        K = kernel_basis(M, tol)
+    cutoff = np.sqrt(tol.rank_rel) * np.sqrt(lam[-1])  # sqrt(rank_rel) * ||W^(1/2)||
+    # one SVD A = U S Vh gives both kernels: ker A = span Vh[rank:]*, ker A* = span U[:, rank:]
+    U, s, Vh = np.linalg.svd(as_complex_matrix(form.matrix, "A"))
+    rank = _rank_at(s, tol.rank_rel * s[0])
+    for K in (Vh[rank:].conj().T, U[:, rank:]):
         if K.shape[1] == 0:
             continue
         image_rank = _orthonormal_image((Whalf @ K)[None], cutoff).shape[-1]

@@ -18,8 +18,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, InconsistentRank, NegativeReference
 from .forms import NonNegativeForm, SesquilinearForm
-from .lebesgue import decompose
-from .linalg import DEFAULT_TOL, Tolerance
+from .lebesgue import _part_stacks, build_context
+from .linalg import DEFAULT_TOL, Tolerance, require_finite
 
 
 @dataclass(frozen=True)
@@ -29,7 +29,7 @@ class AtomicMeasureSpace:
     atoms: tuple[str, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "atoms", tuple(str(a) for a in self.atoms))
+        object.__setattr__(self, "atoms", tuple(map(str, self.atoms)))
         if len(self.atoms) < 1:
             raise ValueError("an atomic measure space needs at least one atom")
         if len(set(self.atoms)) != len(self.atoms):
@@ -130,18 +130,24 @@ def is_singular_measure(mu: ComplexMeasure, nu: ComplexMeasure) -> bool:
     return bool(np.all(mu.values[positive] == 0.0))
 
 
+def _atomwise(mu: ComplexMeasure, nu: ComplexMeasure):
+    """The values of mu's a.c. and singular parts and the labels of nu's
+    support, after the checks of the inputs."""
+    _require_same_space(mu, nu)
+    _require_reference(nu)
+    on_support = nu.values.real > 0.0
+    ac_values = np.where(on_support, mu.values, 0.0)
+    support = tuple(itertools.compress(mu.space.atoms, on_support.tolist()))
+    return ac_values, mu.values - ac_values, support
+
+
 def lebesgue_decompose_measure(mu: ComplexMeasure, nu: ComplexMeasure) -> MeasureSplit:
     """Unique split of mu into a nu-a.c. part and a nu-singular part.
 
     The a.c. part is mu restricted to the support E = {atoms with nu > 0}, the
     singular part is the restriction to the complement.
     """
-    _require_same_space(mu, nu)
-    _require_reference(nu)
-    on_support = nu.values.real > 0.0
-    ac_values = np.where(on_support, mu.values, 0.0)
-    sing_values = mu.values - ac_values
-    support = tuple(itertools.compress(mu.space.atoms, on_support.tolist()))
+    ac_values, sing_values, support = _atomwise(mu, nu)
     return MeasureSplit(
         absolutely_continuous=ComplexMeasure(mu.space, ac_values),
         singular=ComplexMeasure(mu.space, sing_values),
@@ -166,29 +172,30 @@ def decompose_via_forms(
     """Split mu through the form engine and verify it against the direct split.
 
     Builds the forms induced by mu, |mu| and nu as 1 x 1 blocks, runs the
-    three-part form decomposition, and reads the parts back off the blocks.
-    Both measures are first divided by one power of 4 near their largest
-    value, which is exact, so the engine and the agreement check run at unit
-    scale whatever the scale of the input; the parts are multiplied back.
+    engine of the three-part form decomposition once and reads the parts off
+    its stacks: the a.c. part is the regular one, the singular part the mixed
+    plus the strongly singular one. Both measures are first divided by one
+    power of 4 near their largest value, which is exact, so the engine and the
+    agreement check run at unit scale whatever the scale of the input; the
+    parts are multiplied back.
     Disagreement with the direct atomwise split is a hard error (internal
     fault), never a valid outcome.
     """
-    _require_same_space(mu, nu)
-    _require_reference(nu)
+    direct_ac, direct_sing, support = _atomwise(mu, nu)
     scale = _unit_scale(mu, nu)
     mu_unit = mu.values / scale
-    triple = decompose(
-        _diagonal_form(SesquilinearForm, mu_unit),
-        _diagonal_form(NonNegativeForm, (nu.values.real / scale).astype(complex)),
-        _diagonal_form(NonNegativeForm, np.abs(mu_unit).astype(complex)),
-        tol,
-    )
-    ac_values = triple.regular.diagonal()
-    sing_values = triple.mixed.diagonal() + triple.strongly_singular.diagonal()
-    direct = lebesgue_decompose_measure(mu, nu)
+    form = _diagonal_form(SesquilinearForm, mu_unit)
+    ref = _diagonal_form(NonNegativeForm, (nu.values.real / scale).astype(complex))
+    dominating = _diagonal_form(NonNegativeForm, np.abs(mu_unit).astype(complex))
+    # the forms are 1 x 1 blocks on one group: out[x, y] is a (k, 1, 1) stack
+    (out,) = _part_stacks(build_context(dominating, ref, form=form, tol=tol))
+    ac_values = out[0, 0].reshape(-1)
+    sing_values = ((out[1, 0] + out[0, 1]) + out[1, 1]).reshape(-1)
+    require_finite(ac_values, "form matrix")
+    require_finite(sing_values, "form matrix")
     gap = max(
-        float(np.max(np.abs(ac_values - direct.absolutely_continuous.values / scale))),
-        float(np.max(np.abs(sing_values - direct.singular.values / scale))),
+        float(np.max(np.abs(ac_values - direct_ac / scale))),
+        float(np.max(np.abs(sing_values - direct_sing / scale))),
     )
     if gap > tol.cmp_abs:
         raise InconsistentRank(
@@ -198,5 +205,5 @@ def decompose_via_forms(
     return MeasureSplit(
         absolutely_continuous=ComplexMeasure(mu.space, ac_values * scale),
         singular=ComplexMeasure(mu.space, sing_values * scale),
-        support=direct.support,
+        support=support,
     )

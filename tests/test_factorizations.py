@@ -78,7 +78,7 @@ BUDGET = {
     "is_bounded_by": (lambda f: is_bounded_by(f.T, f.OMEGA), 0),
     "classify_range": (lambda f: classify_range(f.T), 1),
     "decompose_via_forms": (lambda f: decompose_via_forms(f.MU, f.NU), 0),
-    "singularity_sufficient": (lambda f: singularity_sufficient(f.T, f.OMEGA), 5),
+    "singularity_sufficient": (lambda f: singularity_sufficient(f.T, f.OMEGA), 3),
     "is_mixed_certificate": (
         lambda f: is_mixed_certificate(f.T2, f.OMEGA2, f.ALPHA2, f.BETA2),
         16,
@@ -97,7 +97,7 @@ BUDGET = {
     "dense_is_bounded_by": (lambda f: is_bounded_by(f.T_DENSE, f.OMEGA_DENSE), 2),
     "dense_singularity_sufficient": (
         lambda f: singularity_sufficient(f.T_DENSE, f.OMEGA_DENSE),
-        6,
+        4,
     ),
 }
 

@@ -26,6 +26,7 @@ from formleb import (
     operator_norm,
     singularity_sufficient,
 )
+from formleb.linalg import hermitize
 
 from conftest import crandn, max_abs, pinv_sqrt, random_hermitian, random_psd
 
@@ -38,6 +39,24 @@ U3 = NonNegativeForm(np.array([[5 / 3, -4 / 3, 0], [-4 / 3, 5 / 3, 0], [0, 0, 0]
 T2 = SesquilinearForm(np.diag([1.0, -1.0]))
 OMEGA2 = NonNegativeForm(np.array([[1.0, 1.0], [1.0, 1.0]]))
 BETA2 = NonNegativeForm(np.array([[1.0, -1.0], [-1.0, 1.0]]))
+
+
+def two_svd_singularity_sufficient(form, ref, tol=Tolerance()):
+    """Reference for `singularity_sufficient`: the same test computed with a
+    kernel SVD of t and another of t*, and ||W^(1/2)|| from its own SVD."""
+    lam, V = ref.eigenpairs
+    ref_rank = int(np.count_nonzero(lam > tol.rank_rel * lam[-1]))
+    if ref_rank == 0:
+        return True
+    Whalf = hermitize((V * np.sqrt(lam)) @ V.conj().T)
+    cutoff = np.sqrt(tol.rank_rel) * operator_norm(Whalf)
+    A = form.matrix
+    for K in (kernel_basis(A, tol), kernel_basis(A.conj().T, tol)):
+        if K.shape[1]:
+            s = np.linalg.svd(Whalf @ K, full_matrices=False)[1]
+            if np.count_nonzero(s > cutoff) == ref_rank:
+                return True
+    return False
 
 
 def random_dominated_pair(rng, n):
@@ -386,6 +405,19 @@ class TestClassifiers:
         assert not singularity_sufficient(T2, OMEGA2)
         assert singularity_sufficient(SesquilinearForm(np.diag([-1.0, 0, 0])), OMEGA3)
         assert singularity_sufficient(SesquilinearForm(np.zeros((3, 3))), OMEGA3)
+
+    def test_singularity_sufficient_matches_two_svd_reference(self, rng):
+        # one SVD of t gives the kernels of t and t*, and ||W^(1/2)|| is read
+        # off W's spectrum; the verdicts are those of the reference
+        verdicts = []
+        for _ in range(2000):
+            n = int(rng.integers(2, 9))
+            t_rank, w_rank = rng.integers(0, n + 1, size=2)
+            form = SesquilinearForm(crandn(rng, n, t_rank) @ crandn(rng, t_rank, n))
+            ref = NonNegativeForm(random_psd(rng, n, w_rank))
+            verdicts.append(two_svd_singularity_sufficient(form, ref))
+            assert singularity_sufficient(form, ref) == verdicts[-1], (n, t_rank, w_rank)
+        assert 0.2 < np.mean(verdicts) < 0.8
 
     def test_zero_reference_everything_singular(self, rng):
         zero_ref = NonNegativeForm(np.zeros((3, 3)))

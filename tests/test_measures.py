@@ -12,6 +12,9 @@ from formleb import (
     InconsistentRank,
     NegativeReference,
     NonNegativeForm,
+    SesquilinearForm,
+    Tolerance,
+    decompose,
     decompose_via_forms,
     induced_form,
     is_ac_measure,
@@ -23,6 +26,7 @@ from formleb import (
     lebesgue_decompose_measure,
     total_variation,
 )
+from formleb import lebesgue
 
 from conftest import max_abs
 
@@ -285,8 +289,75 @@ class TestUnitScale:
         space = AtomicMeasureSpace(("a", "b"))
         mu = ComplexMeasure(space, np.array([1.0, 1.0]) * scale)
         nu = ComplexMeasure(space, np.array([1.0, 1e-12]) * scale)
-        with pytest.raises(InconsistentRank):
+        # the gap is mu's unit-scale value at the dropped atom, in [1, 4)
+        message = (
+            r"^form-engine split disagrees with the atomwise split by \d\.\d{3}e\+00 at unit "
+            r"scale; internal fault or measure values below the rank cutoff$"
+        )
+        with pytest.raises(InconsistentRank, match=message):
             decompose_via_forms(mu, nu)
+
+
+class TestMeasurePathShape:
+    """decompose_via_forms runs the engine of `decompose` once and reads the
+    parts off its stacks: no witness split, no part forms."""
+
+    def test_builds_only_its_two_nonneg_forms(self, rng, monkeypatch):
+        built = []
+        post_init = NonNegativeForm.__post_init__
+
+        def counted(self):
+            built.append(self)
+            post_init(self)
+
+        def no_witnesses(ctx):
+            raise AssertionError("the measure path built the witness split")
+
+        monkeypatch.setattr(NonNegativeForm, "__post_init__", counted)
+        monkeypatch.setattr(lebesgue, "_split_from_context", no_witnesses)
+        for k in (1, 3, 16):
+            mu, nu = random_measure_pair(rng, k)
+            built.clear()
+            decompose_via_forms(mu, nu)
+            assert len(built) == 2
+
+    def test_coarse_tolerance_null_atom_without_mass(self):
+        # nu's second atom lies below the cutoff 1e-9 * 3 but above psd_abs:
+        # both paths agree since mu has no mass there, and no PSD check of
+        # a split part (whose a.c. block there would be -nu) can refuse it
+        space = AtomicMeasureSpace(("a", "b"))
+        split = decompose_via_forms(
+            ComplexMeasure(space, [1.0, 0.0]),
+            ComplexMeasure(space, [2.0, 2e-9]),
+            Tolerance(rank_rel=1e-9),
+        )
+        assert np.array_equal(split.absolutely_continuous.values, [1.0, 0.0])
+        assert np.array_equal(split.singular.values, [0.0, 0.0])
+        assert split.support == ("a", "b")
+
+    def test_parts_are_those_of_decompose_bit_for_bit(self, rng):
+        for i in range(60):
+            k = int(rng.integers(1, 9))
+            mu, nu = random_measure_pair(rng, k)
+            mu_vals = np.zeros(k, dtype=complex) if i % 10 == 0 else mu.values
+            # a nu atom at 2 puts the largest value in [2, 2.3], so the
+            # measure path divides by 1 and multiplies by 1
+            nu_vals = nu.values.real.copy()
+            nu_vals[int(rng.integers(k))] = 2.0
+            triple = decompose(
+                SesquilinearForm(np.diag(mu_vals)),
+                NonNegativeForm(np.diag(nu_vals)),
+                NonNegativeForm(np.diag(np.abs(mu_vals))),
+            )
+            ac = triple.regular.matrix.diagonal()
+            sing = (triple.mixed.matrix + triple.strongly_singular.matrix).diagonal()
+            for j in (-12, -1, 0, 1, 12):
+                c = 4.0**j
+                split = decompose_via_forms(
+                    ComplexMeasure(mu.space, mu_vals * c), ComplexMeasure(nu.space, nu_vals * c)
+                )
+                assert np.array_equal(split.absolutely_continuous.values, ac * c), (i, j)
+                assert np.array_equal(split.singular.values, sing * c), (i, j)
 
 
 def test_measure_path_memory_is_linear_in_atoms():
