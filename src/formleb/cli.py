@@ -339,10 +339,6 @@ def _nonneg(problem: ProblemInput, key: str) -> NonNegativeForm:
     return form
 
 
-def _tol_diag(tol: Tolerance) -> dict:
-    return {"rank_rel": tol.rank_rel, "psd_abs": tol.psd_abs, "cmp_abs": tol.cmp_abs}
-
-
 def _run_decompose(problem: ProblemInput) -> tuple[dict, dict]:
     tol = problem.tol
     form = SesquilinearForm(problem.matrices["t"])
@@ -457,13 +453,13 @@ def run_command(
         }
         sha = problem.input_sha256 if problem else hashlib.sha256(b"").hexdigest()
         if report.ok:
-            return ResultOutput(sha, "ok", None, results, {"tolerance": _tol_diag(tol)})
+            return ResultOutput(sha, "ok", None, results, {"tolerance": dataclasses.asdict(tol)})
         return ResultOutput(
             sha,
             "error",
             {"code": "SELFTEST_FAILED", "message": f"{len(report.failures)} checks failed"},
             results,
-            {"tolerance": _tol_diag(tol)},
+            {"tolerance": dataclasses.asdict(tol)},
         )
 
     assert problem is not None
@@ -486,7 +482,7 @@ def run_command(
             "error",
             {"code": code, "message": str(exc)},
             {},
-            {"tolerance": _tol_diag(problem.tol)},
+            {"tolerance": dataclasses.asdict(problem.tol)},
         )
 
     try:
@@ -495,7 +491,7 @@ def run_command(
         return domain_error(exc.code, exc)
     except np.linalg.LinAlgError as exc:  # LAPACK gave no answer (say, no SVD convergence)
         return domain_error(NUMERICAL_FAILURE, exc)
-    diagnostics["tolerance"] = _tol_diag(problem.tol)
+    diagnostics["tolerance"] = dataclasses.asdict(problem.tol)
     return ResultOutput(problem.input_sha256, "ok", None, results, diagnostics)
 
 

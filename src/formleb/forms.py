@@ -2,10 +2,12 @@
 
 A form is represented by its matrix A in the standard basis through
 ``t(phi, psi) = psi* A phi`` (linear in the first argument, conjugate-linear
-in the second), stored as A's diagonal blocks on a partition of the indices
-that A is block-diagonal on. The module provides evaluation, adjoint/real/imaginary parts,
-domination tests, construction of a dominating non-negative form, value-set
-classification and boundedness relative to a reference form.
+in the second), stored as A's diagonal blocks on the connected components of
+its support, which every form finds when it is built. The module provides
+evaluation, adjoint/real/imaginary parts, domination tests, construction of a
+dominating non-negative form, value-set classification and boundedness
+relative to a reference form. Every public entry point on two or more forms
+checks its inputs with one helper, `_check_inputs`, before any work.
 """
 
 from __future__ import annotations
@@ -51,14 +53,13 @@ class SesquilinearForm:
     """Sesquilinear form t(phi, psi) = psi* A phi on C^n.
 
     The form is stored as blocks: `groups` is a partition of the indices that
-    A is block-diagonal on (as `linalg.components` returns it) and `blocks`
-    holds A's read-only diagonal blocks on it, one (b, m, m) stack per group.
+    A is block-diagonal on, in the layout `linalg.components` returns, and
+    `blocks` holds A's read-only diagonal blocks on it, one (b, m, m) stack
+    per group. The constructor takes the connected components of A's support,
+    whatever the form's class; `from_blocks` takes the engine's partition.
     When the one group is every index, its stack is (1, n, n), a view of A.
     `matrix` is the dense A, read-only, assembled from the blocks on first
     read and kept; a form built from a dense matrix keeps that matrix.
-
-    A form built from a dense matrix is one group and runs no component
-    search; `joint_groups` searches its support when the engine needs it.
     Forms are immutable: no attribute can be assigned and every array is
     read-only.
     """
@@ -66,8 +67,8 @@ class SesquilinearForm:
     def __init__(self, matrix):
         A = as_square_matrix(matrix, "form matrix").copy()
         A.flags.writeable = False
-        groups = [np.arange(A.shape[0])[None, :]]
-        self._store(groups, gather(A, groups), A.shape[0], matrix=A, searched=False)
+        groups = components(A)
+        self._store(groups, gather(A, groups), A.shape[0], matrix=A)
         self.__post_init__()
 
     @classmethod
@@ -79,15 +80,12 @@ class SesquilinearForm:
         so no n x n matrix is made unless `matrix` is read.
         """
         form = cls.__new__(cls)
-        form._store(groups, [freeze(B) for B in blocks], n)
+        form._store(groups, blocks, n)
         form.__post_init__()
         return form
 
-    def _store(self, groups, blocks, n, matrix=None, searched=True):
-        # _searched: whether `groups` came from a component search or from
-        # the caller; False only for the one whole group of a form built
-        # from a matrix
-        self.__dict__.update(groups=groups, blocks=blocks, dim=n, _searched=searched)
+    def _store(self, groups, blocks, n, matrix=None):
+        self.__dict__.update(groups=groups, blocks=[freeze(B) for B in blocks], dim=n)
         if matrix is not None:
             self.__dict__["matrix"] = matrix  # the value of the cached property
 
@@ -132,9 +130,6 @@ class SesquilinearForm:
     def imag_part(self) -> "SesquilinearForm":
         return SesquilinearForm((self.matrix - self.matrix.conj().T) / 2j)
 
-    def is_symmetric(self, tol: Tolerance = DEFAULT_TOL) -> bool:
-        return max_asymmetry(self.matrix) <= tol.cmp_abs
-
     def __add__(self, other: "SesquilinearForm") -> "SesquilinearForm":
         if self.dim != other.dim:
             raise DimensionMismatch("cannot add forms of different dimension")
@@ -147,8 +142,7 @@ class SesquilinearForm:
 class NonNegativeForm(SesquilinearForm):
     """Sesquilinear form with t[phi] >= 0 for every phi (PSD matrix).
 
-    A form built from a matrix is stored on the connected components of its
-    support. `__post_init__` validates every form, however it was built, once
+    `__post_init__` validates every form, however it was built, once
     and per block: finite entries, `asymmetry` (max |A - A*|) and `spectrum`
     (the ascending eigenvalues of the symmetrized matrix), so `psd_at`
     answers for any tolerance without factoring again. The blocks are
@@ -157,16 +151,6 @@ class NonNegativeForm(SesquilinearForm):
     matrix therefore costs no n x n factorization, and its 1 x 1 blocks no
     LAPACK call.
     """
-
-    def __init__(self, matrix):
-        A = as_square_matrix(matrix, "form matrix").copy()
-        A.flags.writeable = False
-        groups = components(A)
-        blocks = gather(A, groups)
-        for B in blocks:
-            B.flags.writeable = False
-        self._store(groups, blocks, A.shape[0], matrix=A)
-        self.__post_init__()
 
     def __post_init__(self):
         asymmetry = list(map(max_asymmetry, self.blocks))
@@ -265,9 +249,23 @@ def polarization_reconstruct(q, phi, psi) -> complex:
     return total / 4.0
 
 
-def _check_same_dim(a: SesquilinearForm, b: SesquilinearForm) -> None:
-    if a.dim != b.dim:
-        raise DimensionMismatch(f"dimension mismatch: {a.dim} vs {b.dim}")
+def _check_inputs(
+    tol: Tolerance, forms: tuple[SesquilinearForm, ...], psd: dict[str, NonNegativeForm]
+) -> None:
+    """The checks every public entry point on two or more forms runs first.
+
+    Each later form must have the dimension of the first (else
+    DimensionMismatch "dimension mismatch: <its> vs <the first's>"); then
+    each form in `psd` must be PSD at `tol` (else NotPSD "<role> must be
+    PSD"), in the order given.
+    """
+    n = forms[0].dim
+    for form in forms[1:]:
+        if form.dim != n:
+            raise DimensionMismatch(f"dimension mismatch: {form.dim} vs {n}")
+    for role, form in psd.items():
+        if not form.psd_at(tol):
+            raise NotPSD(f"{role} must be PSD")
 
 
 def compressed_norm(
@@ -317,21 +315,14 @@ def dominates(
 
 def joint_groups(*forms: SesquilinearForm) -> list[np.ndarray]:
     """The connected components of the joint support of `forms` (see
-    `linalg.components`), from the partitions the forms carry.
-
-    The support of a form built from a dense matrix is searched here, and
-    only when no other form is one component already (the family then is one
-    too); forms stored as singletons join in O(n).
+    `linalg.components`), joined from the partitions the forms carry: no
+    support is searched here, and forms stored as singletons join in O(n).
     """
     n = forms[0].dim
-    known = [form.groups for form in forms if form._searched]
-    for groups in known:
-        if groups[0].shape[1] == n:  # one component already
-            return groups
-    dense = [form.matrix for form in forms if not form._searched]
-    if dense:
-        known.append(components(*dense))
-    return join(known, n)
+    for form in forms:
+        if form.groups[0].shape[1] == n:  # one component already: so is the family
+            return form.groups
+    return join([form.groups for form in forms], n)
 
 
 def _blocks_of(W: NonNegativeForm, form: SesquilinearForm):
@@ -350,9 +341,7 @@ def is_dominating(
     both A and A*, and the compression of A by the pseudo-inverse square root of
     S has operator norm at most 1.
     """
-    _check_same_dim(sigma, form)
-    if not sigma.psd_at(tol):
-        raise NotPSD("dominating candidate must be PSD")
+    _check_inputs(tol, (form, sigma), {"dominating candidate": sigma})
     return dominates(*_blocks_of(sigma, form), sigma.dim, tol)
 
 
@@ -430,8 +419,6 @@ def is_bounded_by(
     true; equivalently C * ref dominates `form`. Holds iff ker(ref) annihilates
     the form's matrix and its adjoint.
     """
-    _check_same_dim(form, ref)
-    if not ref.psd_at(tol):
-        raise NotPSD("reference form must be PSD")
+    _check_inputs(tol, (ref, form), {"reference form": ref})
     norm = compressed_norm(*_blocks_of(ref, form), ref.dim, tol)
     return (False, None) if norm is None else (True, norm)

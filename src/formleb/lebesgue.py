@@ -24,17 +24,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    InconsistentRank,
-    NonFinite,
-    NotDominating,
-    NotPSD,
-    PreconditionViolation,
-)
+from .errors import InconsistentRank, NonFinite, NotDominating, PreconditionViolation
 from .forms import (
     NonNegativeForm,
     SesquilinearForm,
+    _check_inputs,
     dominates,
     is_bounded_by,
     is_dominating,
@@ -178,18 +172,13 @@ def build_context(
     The work runs once per group of equal-size connected components of the
     joint support, each group as one stacked call.
     """
-    if dominating.dim != ref.dim:
-        raise DimensionMismatch(f"dimension mismatch: {dominating.dim} vs {ref.dim}")
-    for name, nonneg in (("dominating form", dominating), ("reference form", ref)):
-        if not nonneg.psd_at(tol):
-            raise NotPSD(f"{name} must be PSD")
+    family = (ref, dominating) if form is None else (ref, dominating, form)
+    _check_inputs(tol, family, {"dominating form": dominating, "reference form": ref})
     n = dominating.dim
     if form is None:
         groups = joint_groups(dominating, ref)
         forms = [None] * len(groups)
     else:
-        if form.dim != n:
-            raise DimensionMismatch(f"dimension mismatch: {form.dim} vs {n}")
         groups = joint_groups(dominating, ref, form)
         forms = form.blocks_on(groups)
         if not dominates(dominating.block_eigenpairs(groups), forms, n, tol):
@@ -340,10 +329,7 @@ def ac_extremal_check(
     True by the decomposition theorem; False indicates a numerical fault, not a
     valid outcome.
     """
-    if not u.psd_at(tol):
-        raise NotPSD("u must be PSD")
-    if u.dim != sigma.dim or u.dim != ref.dim:
-        raise DimensionMismatch("u, sigma and ref must share a dimension")
+    _check_inputs(tol, (sigma, ref, u), {"u": u})
     if _min_eig(sigma.matrix - u.matrix) < -tol.psd_abs:
         raise PreconditionViolation("u must satisfy u <= sigma")
     if not annihilates(u.matrix, ref.kernel(tol), tol):
@@ -352,6 +338,17 @@ def ac_extremal_check(
         )
     split = decompose_nonneg(sigma, ref, tol)
     return _min_eig(split.absolutely_continuous.matrix - u.matrix) >= -tol.psd_abs
+
+
+def _cross_checked(via_split: bool, via_other: bool, name: str, other: str) -> bool:
+    """The split's answer to the `name` predicate, when the `other` criterion
+    gives the same one; InconsistentRank otherwise."""
+    if via_split != via_other:
+        raise InconsistentRank(
+            f"{name} criteria disagree (split vs {other}); "
+            "the input is numerically rank-unstable at this tolerance"
+        )
+    return via_split
 
 
 def is_absolutely_continuous(
@@ -370,12 +367,7 @@ def is_absolutely_continuous(
     via_kernel = all(
         annihilates(blk.dom, blk.ref_kernel, tol, scale, sigma.dim) for blk in ctx.blocks
     )
-    if via_split != via_kernel:
-        raise InconsistentRank(
-            "absolute-continuity criteria disagree (split vs kernel inclusion); "
-            "the input is numerically rank-unstable at this tolerance"
-        )
-    return via_split
+    return _cross_checked(via_split, via_kernel, "absolute-continuity", "kernel inclusion")
 
 
 def is_singular_nonneg(
@@ -392,13 +384,7 @@ def is_singular_nonneg(
     scale = _norm(sigma)
     via_split = _is_zero(split.absolutely_continuous.blocks, sigma.dim, tol, scale)
     ranks = _rank_at(sigma.spectrum, ctx.cutoff) + _rank_at(ref.spectrum, ctx.cutoff)
-    via_rank = ctx.rank == ranks
-    if via_split != via_rank:
-        raise InconsistentRank(
-            "singularity criteria disagree (split vs rank additivity); "
-            "the input is numerically rank-unstable at this tolerance"
-        )
-    return via_split
+    return _cross_checked(via_split, ctx.rank == ranks, "singularity", "rank additivity")
 
 
 def is_regular(
@@ -423,6 +409,7 @@ def is_strongly_singular(
 
     This validates a supplied witness; it does not decide existence.
     """
+    _check_inputs(tol, (form, cert, ref), {})
     return is_dominating(cert, form, tol) and is_singular_nonneg(cert, ref, tol)
 
 
@@ -441,6 +428,7 @@ def is_mixed_certificate(
     witness (compressed matrix zero, by polarization).
     """
     alpha, beta = ac_witness, sing_witness
+    _check_inputs(tol, (ref, alpha, beta, form), {})
     if not is_absolutely_continuous(alpha, ref, tol):
         return False
     if not is_singular_nonneg(beta, ref, tol):
@@ -467,8 +455,7 @@ def singularity_sufficient(
     reference matrix spans its whole range: True implies the form is singular
     relative to the reference; False is inconclusive.
     """
-    if not ref.psd_at(tol):
-        raise NotPSD("reference form must be PSD")
+    _check_inputs(tol, (ref, form), {"reference form": ref})
     lam, V = ref.eigenpairs
     ref_rank = _rank_at(lam, tol.rank_rel * lam[-1])
     if ref_rank == 0:

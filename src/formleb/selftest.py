@@ -1,6 +1,6 @@
 """Built-in verification: golden worked examples plus a random property sweep.
 
-Used by the CLI `selftest` subcommand. Deterministic for a fixed seed so the
+Used by the CLI `selftest` subcommand. The sweep's seed is fixed, so the
 CLI output is reproducible byte for byte.
 """
 
@@ -28,6 +28,8 @@ from .measures import (
 
 GOLDEN_ATOL = 1e-9
 PROPERTY_SLACK = 1e-8
+SEED = 0  # of the property sweep's generator
+INSTANCES = 20  # random instances in the property sweep
 
 
 @dataclass
@@ -194,35 +196,27 @@ def _property_checks(rng: np.random.Generator, n: int, tol: Tolerance):
     ]
 
 
-def run_selftest(
-    tol: Tolerance = DEFAULT_TOL, seed: int = 0, instances: int = 20
-) -> SelfTestReport:
-    report = SelfTestReport()
+def _checks(tol: Tolerance):
+    """(kind, label, check) for every golden check, then every property check
+    of `INSTANCES` random instances drawn from `SEED`."""
     for name, check in _golden_checks(tol):
-        report.golden_total += 1
+        yield "golden", f"golden:{name}", check
+    rng = np.random.default_rng(SEED)
+    for i in range(INSTANCES):
+        for name, check in _property_checks(rng, 2 + i % 4, tol):
+            yield "property", f"property:{name}[{i}]", check
+
+
+def run_selftest(tol: Tolerance = DEFAULT_TOL) -> SelfTestReport:
+    report = SelfTestReport()
+    for kind, label, check in _checks(tol):
         try:
-            passed = check()
+            passed = bool(check())
+            if not passed:
+                report.failures.append(label)
         except Exception as exc:  # a crash is a failure, not an abort
             passed = False
-            report.failures.append(f"golden:{name}: {exc!r}")
-        if passed:
-            report.golden_passed += 1
-        elif not any(f.startswith(f"golden:{name}:") for f in report.failures):
-            report.failures.append(f"golden:{name}")
-    rng = np.random.default_rng(seed)
-    for i in range(instances):
-        n = 2 + i % 4
-        for name, check in _property_checks(rng, n, tol):
-            report.property_total += 1
-            try:
-                passed = check()
-            except Exception as exc:
-                passed = False
-                report.failures.append(f"property:{name}[{i}]: {exc!r}")
-            if passed:
-                report.property_passed += 1
-            elif not any(
-                f.startswith(f"property:{name}[{i}]") for f in report.failures
-            ):
-                report.failures.append(f"property:{name}[{i}]")
+            report.failures.append(f"{label}: {exc!r}")
+        setattr(report, f"{kind}_total", getattr(report, f"{kind}_total") + 1)
+        setattr(report, f"{kind}_passed", getattr(report, f"{kind}_passed") + passed)
     return report

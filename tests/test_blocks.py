@@ -29,7 +29,8 @@ from formleb import (
     is_dominating,
     is_singular_nonneg,
 )
-from formleb.linalg import components
+from formleb.forms import joint_groups
+from formleb.linalg import components, same_partition
 
 from conftest import crandn, max_abs, random_psd, random_unitary
 
@@ -231,6 +232,20 @@ class TestOneLayout:
                 one_component += 1
                 assert np.shares_memory(form.blocks[0][0], form.matrix)
         assert one_component >= 8
+
+    def test_form_from_a_matrix_carries_its_components(self, rng):
+        # a form of any class finds its components when it is built, so the
+        # engine's partition is a join of the partitions the forms carry and
+        # matches the dense search of the family's matrices
+        for _ in range(20):
+            T, S, W, _ = block_instance(rng)
+            t, sigma, omega = SesquilinearForm(T), NonNegativeForm(S), NonNegativeForm(W)
+            assert sum(idx.shape[0] for idx in t.groups) > 1
+            for form in (t, sigma, omega):
+                assert same_partition(form.groups, components(form.matrix))
+            for family in ((sigma, t), (omega, t), (sigma, omega, t)):
+                found = components(*(form.matrix for form in family))
+                assert same_partition(joint_groups(*family), found)
 
     def test_eigenpairs_regrouped_without_factoring(self, rng, monkeypatch):
         # W has the components {0, 3}, {1}, {2}, {4, 5}; the whole index set

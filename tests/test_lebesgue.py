@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from formleb import (
+    DimensionMismatch,
     NonNegativeForm,
     NotDominating,
     NotPSD,
@@ -441,3 +442,40 @@ class TestClassifiers:
             bounded, _ = is_bounded_by(form, ref)
             if bounded and singularity_sufficient(form, ref):
                 assert operator_norm(A) <= 1e-8
+
+
+# every public entry point on two or more forms, with the kind of each form
+# argument in order: "t" any form, "w" a non-negative one
+MULTI_FORM_ENTRY_POINTS = [
+    (is_dominating, "wt"),
+    (is_bounded_by, "tw"),
+    (build_context, "ww"),
+    (build_context, "wwt"),
+    (decompose, "tww"),
+    (decompose_nonneg, "ww"),
+    (ac_extremal_check, "www"),
+    (is_absolutely_continuous, "ww"),
+    (is_singular_nonneg, "ww"),
+    (is_regular, "tw"),
+    (is_strongly_singular, "tww"),
+    (is_mixed_certificate, "twww"),
+    (singularity_sufficient, "tw"),
+]
+
+
+class TestEntryChecks:
+    @pytest.mark.parametrize(
+        "entry, kinds",
+        MULTI_FORM_ENTRY_POINTS,
+        ids=[f"{entry.__name__}-{kinds}" for entry, kinds in MULTI_FORM_ENTRY_POINTS],
+    )
+    def test_dimension_mismatch_in_every_position(self, entry, kinds):
+        # the identity does not dominate 2 * T3, so a certificate check that
+        # answered before its dimension check would return False here
+        of_kind = {"t": SesquilinearForm(2.0 * T3.matrix), "w": NonNegativeForm(np.eye(3))}
+        args = [of_kind[kind] for kind in kinds]
+        for i in range(len(args)):
+            mismatched = list(args)
+            mismatched[i] = NonNegativeForm(np.eye(2))
+            with pytest.raises(DimensionMismatch, match="dimension mismatch"):
+                entry(*mismatched)
