@@ -35,6 +35,7 @@ from .linalg import (
     operator_norm,
     psd_eigh,
     require_finite,
+    root_weights,
     same_partition,
     scatter,
     scatter_columns,
@@ -289,6 +290,16 @@ def compressed_norm(
     norm = None  # ||A||, needed only when W has a kernel
     result = 0.0
     for (lam, V), A in zip(eigs, blocks):
+        if A.shape[-1] == 1:  # 1 x 1 blocks: V = 1, so each product is elementwise
+            null = lam <= cutoff
+            if null.any():
+                norm = max(map(operator_norm, blocks)) if norm is None else norm
+                # the residuals |a| = |a*| on the kernel, against the threshold of `annihilates`
+                if not float(np.abs(A[null]).max()) <= n * tol.rank_rel * max(1.0, norm):
+                    return None
+            inv = root_weights(lam, cutoff)[1][2, ..., None]
+            result = max(result, operator_norm(inv * A * inv))
+            continue
         K = leading_columns(V, lam <= cutoff)
         if K.shape[-1]:
             if norm is None:

@@ -11,7 +11,9 @@ and the two cross compressions make up the mixed part.
 When the matrices are block-diagonal up to a permutation, all of this splits
 along the blocks. The engine runs once per group of equal-size connected
 components of their joint support (`linalg.components`), each group as one
-stacked call, with every cutoff taken from the whole family.
+stacked call, with every cutoff taken from the whole family. A group of 1 x 1
+blocks is a diagonal: it runs elementwise on vectors, to the bits of the
+stacked products, and is stored in the same (b, 1, 1) stacks.
 
 All decompositions are pure functions of their inputs; `QuotientContext` is
 immutable and shareable across threads.
@@ -44,6 +46,7 @@ from .linalg import (
     leading_columns,
     operator_norm,
     psd_eigh,
+    root_weights,
     scatter,
     scatter_columns,
     top_eigenvalue,
@@ -143,19 +146,17 @@ def _orthonormal_image(M: np.ndarray, cutoff: float) -> np.ndarray:
     """Orthonormal bases of the numerically significant column spans of a
     stack M (b, m, r), as a (b, m, s) stack zero-padded to the largest rank.
 
-    Singular values come out descending, so each basis is a prefix of U. A
-    1 x 1 block a has the singular value |a| and the basis a / |a|, so a
-    stack of them needs no LAPACK call.
+    Singular values come out descending, so each basis is a prefix of U.
+    LAPACK's gesdd can fail to converge on M and still converge on M*, whose
+    right singular vectors are the columns of U; it is then run on M*.
     """
     if M.shape[-1] == 0:
         return M
-    if M.shape[-2:] == (1, 1):
-        s = np.abs(M)
-        # real and imaginary parts divided by the real |a|, as LAPACK scales
-        # them: a complex division would not give exactly 1 for a real a > 0
-        parts = np.ascontiguousarray(M).view(np.float64) / np.where(s > 0.0, s, 1.0)
-        return leading_columns(parts.view(complex), s[..., 0] > cutoff)
-    U, s, _ = np.linalg.svd(M, full_matrices=False)
+    try:
+        U, s, _ = np.linalg.svd(M, full_matrices=False)
+    except np.linalg.LinAlgError:
+        _, s, Vh = np.linalg.svd(M.conj().swapaxes(-1, -2), full_matrices=False)
+        U = Vh.conj().swapaxes(-1, -2)
     return leading_columns(U, s > cutoff)
 
 
@@ -199,19 +200,28 @@ def build_context(
     for (lam, V), (ref_lam, ref_V), S_b, W_b, A_b in zip(
         eigs, ref.block_eigenpairs(groups), doms, refs, forms
     ):
-        kept = lam > cutoff
+        kept, w = root_weights(lam, cutoff)
         rank += int(np.count_nonzero(kept))
-        # G^(1/2), the range projector and, with a form, G^(+1/2): V diag(w) V*
-        # for each weight w, as one stacked product
-        w = np.zeros((2 if A_b is None else 3,) + lam.shape)
-        np.sqrt(lam, out=w[0], where=kept)
-        w[1][kept] = 1.0
-        np.divide(1.0, w[0], out=w[2:], where=kept)
-        Ghalf, range_proj, *Gph = hermitize((V * w[..., None, :]) @ V.conj().swapaxes(-1, -2))
-        ref_kernel = leading_columns(ref_V, ref_lam <= cutoff)
-        Vimg = _orthonormal_image(Ghalf @ ref_kernel, image_cutoff)
-        Phat = hermitize(range_proj - Vimg @ Vimg.conj().swapaxes(-1, -2))
-        That = None if A_b is None else freeze(Gph[0] @ A_b @ Gph[0])
+        null = ref_lam <= cutoff
+        if S_b.shape[-1] == 1:
+            # 1 x 1 blocks: V = 1, so every product is elementwise; `+ 0.0` turns
+            # -0 into the +0 a matmul, summing from +0, gives
+            image = null & (w[0] > image_cutoff)
+            Ghalf, range_proj = w[:2, ..., None].astype(complex)
+            Phat = (kept & ~image)[..., None].astype(complex)
+            # `leading_columns` of the eigenvectors 1: (b, 1, 1), or (b, 1, 0) if none
+            ref_kernel, Vimg = (m[:, None, m.any(axis=0)].astype(complex) for m in (null, image))
+            inv = w[2, ..., None]
+            That = None if A_b is None else freeze(inv * A_b * inv + 0.0)
+        else:
+            # G^(1/2), the range projector and, with a form, G^(+1/2):
+            # V diag(w) V* for each weight w, as one stacked product
+            weights = w[: 2 if A_b is None else 3, ..., None, :]
+            Ghalf, range_proj, *Gph = hermitize((V * weights) @ V.conj().swapaxes(-1, -2))
+            ref_kernel = leading_columns(ref_V, null)
+            Vimg = _orthonormal_image(Ghalf @ ref_kernel, image_cutoff)
+            Phat = hermitize(range_proj - Vimg @ Vimg.conj().swapaxes(-1, -2))
+            That = None if A_b is None else freeze(Gph[0] @ A_b @ Gph[0])
         arrays = map(freeze, (Ghalf, range_proj, ref_kernel, Vimg, Phat))
         blocks.append(ComponentBlocks(S_b, W_b, *arrays, contraction=That))
     return QuotientContext(n=n, cutoff=cutoff, rank=rank, groups=groups, blocks=blocks)
@@ -249,8 +259,12 @@ def _part_stacks(ctx: QuotientContext) -> list[np.ndarray]:
         PQ = np.empty((2,) + Gh.shape, dtype=complex)
         PQ[0] = blk.ac_proj
         np.subtract(blk.range_proj, blk.ac_proj, out=PQ[1])
-        # left to right, as Gh @ X @ T @ Y @ Gh groups, sharing Gh @ X @ T
-        outs.append((Gh @ PQ @ blk.contraction)[:, None] @ PQ @ Gh)
+        # left to right, as Gh @ X @ T @ Y @ Gh groups, sharing Gh @ X @ T; on
+        # 1 x 1 blocks elementwise, `+ 0.0` giving the +0 of a matmul's sum
+        if Gh.shape[-1] == 1:
+            outs.append((Gh * PQ * blk.contraction)[:, None] * PQ * Gh + 0.0)
+        else:
+            outs.append((Gh @ PQ @ blk.contraction)[:, None] @ PQ @ Gh)
     return outs
 
 

@@ -5,16 +5,21 @@ Every rank decision in the package goes through the single relative cutoff
 different matrices stay mutually consistent.
 
 Block-diagonal structure is found by `components`: the connected components of
-the joint support graph of a family of matrices, grouped by size; `join`
-combines partitions already known. Each group of equal-size diagonal blocks is
-handled as one (b, m, m) stack, because numpy's eigh, svd and matmul all take
-stacks; `gather` cuts the stacks out of a matrix and `scatter` puts them back.
+the joint support graph of a family of matrices, grouped by size, found by
+label propagation with no loop per component; `join` combines partitions
+already known. Each group of equal-size diagonal blocks is handled as one
+(b, m, m) stack, because numpy's eigh, svd and matmul all take stacks;
+`gather` cuts the stacks out of a matrix and `scatter` puts them back.
 There is one layout: a single component is the (1, n, n) stack ``M[None]``, a
 view of the matrix, and only `gather`, `scatter` and `scatter_columns` know
 that. numpy factors and multiplies that stack to the same bits as the matrix
 itself, so a single component runs the dense arithmetic unchanged. A 1 x 1
 block is its own eigensystem and singular value decomposition, so stacks of
-them are answered elementwise, with no LAPACK call.
+them are answered elementwise, with no LAPACK call. `root_weights` gives the
+kept eigenvalues' square roots and inverse square roots; with the
+eigenvector 1 of a 1 x 1 block they are its G^(1/2) and G^(+1/2), so the
+engine runs a group of 1 x 1 blocks on vectors, to the bits of the stacked
+products.
 """
 
 from __future__ import annotations
@@ -100,7 +105,8 @@ def components(*matrices: np.ndarray) -> list[np.ndarray]:
     array of shape (b, m) per size; each row lists one component's indices in
     ascending order. A row without a zero (row 0 of each matrix is checked
     first, then every row of the joint support) answers ``[arange(n)[None]]``
-    at once; otherwise the search costs O(n^2).
+    at once; otherwise labels propagate along the O(n^2) support, with
+    vectorized rounds and no loop per component.
     """
     n = matrices[0].shape[0]
     for M in matrices:
@@ -112,25 +118,21 @@ def components(*matrices: np.ndarray) -> list[np.ndarray]:
     np.fill_diagonal(linked, True)
     if linked.all(axis=1).any():  # some index is joined to every other one
         return [np.arange(n)[None, :]]
-    np.fill_diagonal(linked, False)
-    active = np.flatnonzero(linked.any(axis=0) | linked.any(axis=1))
-    if not active.size:
+    linked |= linked.T
+    degree = linked.sum(axis=1)  # each row holds its own index
+    if (degree == 1).all():
         return [np.arange(n)[:, None]]
-    label = np.arange(n)  # each component is labelled by its smallest index
-    sub = linked[np.ix_(active, active)]
-    sub = sub | sub.T
-    free = np.ones(active.size, dtype=bool)
-    while free.any():
-        start = int(np.argmax(free))
-        comp = np.zeros(active.size, dtype=bool)
-        comp[start] = True
-        frontier = comp
-        while frontier.any():
-            frontier = sub[frontier].any(axis=0) & ~comp
-            comp |= frontier
-        free &= ~comp
-        label[active[comp]] = active[start]
-    return _groups_of(label)
+    cols, starts = np.nonzero(linked)[1], np.cumsum(degree) - degree
+    # label propagation: each index takes the smallest label next to it, then labels follow
+    # their own labels (pointer jumping); at rest a component is labelled by its smallest index
+    label = np.arange(n)
+    while True:
+        hooked = np.minimum.reduceat(label[cols], starts)
+        while not np.array_equal(hooked[hooked], hooked):
+            hooked = hooked[hooked]
+        if np.array_equal(hooked, label):
+            return _groups_of(label)
+        label = hooked
 
 
 def _groups_of(label: np.ndarray) -> list[np.ndarray]:
@@ -269,6 +271,18 @@ def block_eigvalsh(blocks: list[np.ndarray]) -> np.ndarray:
 def max_asymmetry(A: np.ndarray) -> float:
     """max |A - A*| over a matrix or a stack of them."""
     return float(np.abs(A - A.conj().swapaxes(-1, -2)).max())
+
+
+def root_weights(lam: np.ndarray, cutoff: float) -> tuple[np.ndarray, np.ndarray]:
+    """kept = lam > cutoff for eigenvalues clipped at 0, and the weights w (3, *lam.shape),
+    sqrt(lam), 1 and 1 / sqrt(lam) on kept and 0 elsewhere, that make V diag(w) V*
+    G^(1/2), the range projector and G^(+1/2); w itself when V = 1 (1 x 1 blocks)."""
+    kept = lam > cutoff
+    w = np.zeros((3,) + lam.shape)
+    np.sqrt(lam, out=w[0], where=kept)
+    w[1][kept] = 1.0
+    np.divide(1.0, w[0], out=w[2], where=kept)
+    return kept, w
 
 
 def eig_pinv_sqrt(lam: np.ndarray, V: np.ndarray, cutoff: float) -> np.ndarray:

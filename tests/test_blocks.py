@@ -30,7 +30,7 @@ from formleb import (
     is_singular_nonneg,
 )
 from formleb.forms import joint_groups
-from formleb.linalg import components, same_partition
+from formleb.linalg import _groups_of, components, same_partition
 
 from conftest import crandn, max_abs, random_psd, random_unitary
 
@@ -102,7 +102,54 @@ def answers(T, S, W):
     return out
 
 
+def breadth_first_components(*matrices):
+    """Reference for `components`: one breadth-first search per component
+    over the joint support, each labelled by its smallest index."""
+    n = matrices[0].shape[0]
+    linked = np.zeros((n, n), dtype=bool)
+    for M in matrices:
+        linked |= M != 0
+    linked |= linked.T
+    label = np.full(n, -1)
+    for start in range(n):
+        if label[start] >= 0:
+            continue
+        comp = np.zeros(n, dtype=bool)
+        comp[start] = True
+        frontier = comp
+        while frontier.any():
+            frontier = linked[frontier].any(axis=0) & ~comp
+            comp |= frontier
+        label[comp] = start
+    return _groups_of(label)
+
+
+def support_graphs(rng, n):
+    """Adjacency patterns on n indices, as complex matrices with a nonzero
+    diagonal: a chain, a star, singletons, planted blocks, random sparse."""
+    chain = np.eye(n, k=1)
+    star = np.zeros((n, n))
+    star[int(rng.integers(n)), :] = 1.0
+    cuts = np.sort(rng.choice(np.arange(1, n), size=int(rng.integers(0, n)), replace=False))
+    planted = np.zeros((n, n))
+    for block in np.split(np.arange(n), cuts):
+        planted[np.ix_(block, block)] = 1.0
+    sparse = (rng.random((n, n)) < 1.5 / n).astype(float)
+    for G in (chain, chain + chain.T, star, np.zeros((n, n)), planted, sparse):
+        perm = rng.permutation(n)
+        yield (G + np.eye(n))[np.ix_(perm, perm)] * crandn(rng, n, n)
+
+
 class TestComponents:
+    def test_matches_breadth_first_search(self, rng):
+        for n in (1, 2, 3, 5, 8, 17, 64):
+            for _ in range(5):
+                graphs = list(support_graphs(rng, n))
+                # each graph alone, and two of them whose joint support links
+                for family in [(G,) for G in graphs] + [tuple(graphs[i] for i in rng.choice(6, 2))]:
+                    got, want = components(*family), breadth_first_components(*family)
+                    assert [g.tolist() for g in got] == [g.tolist() for g in want]
+
     def test_full_row_is_one_component(self):
         M = np.ones((4, 4)) + 0j
         M[2, 3] = M[3, 2] = 0.0

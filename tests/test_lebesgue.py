@@ -1,8 +1,15 @@
 """Decomposition engine: golden cases, certificates, invariant sweeps."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import formleb
 from formleb import (
     DimensionMismatch,
     NonNegativeForm,
@@ -27,6 +34,7 @@ from formleb import (
     operator_norm,
     singularity_sufficient,
 )
+from formleb.lebesgue import _orthonormal_image
 from formleb.linalg import hermitize
 
 from conftest import crandn, max_abs, pinv_sqrt, random_hermitian, random_psd
@@ -69,6 +77,61 @@ def random_dominated_pair(rng, n):
         dom = NonNegativeForm(dom.matrix + random_psd(rng, n, rng.integers(1, n + 1)))
     ref = NonNegativeForm(random_psd(rng, n, rng.integers(0, n + 1)))
     return form, dom, ref
+
+
+SEED_603 = """
+import json, sys
+import numpy as np
+sys.path.insert(0, sys.argv[1])
+import formleb as fl, workloads
+inst = workloads.WORKLOADS["large-dense"].make(np.random.default_rng(603), False)[92]
+assert (inst.kind, inst.size) == ("decompose-constructed", 160)
+t = fl.SesquilinearForm(inst.data["t"])
+sigma = fl.construct_dominating(t)
+triple = fl.decompose(t, fl.NonNegativeForm(inst.data["omega"]), sigma)
+parts = triple.regular.matrix + triple.mixed.matrix + triple.strongly_singular.matrix
+gap = lambda A, B: float(np.abs(A - B).max() / np.abs(B).max())
+print(json.dumps([gap(parts, t.matrix), gap(triple.witnesses.total, sigma.matrix)]))
+"""
+
+
+class TestImageSvdFallback:
+    def test_large_dense_seed_603_instance_92(self):
+        # rebuilt by the benchmark's generator, read-only, and run as the
+        # benchmark runs it, with BLAS at one thread: there LAPACK's gesdd
+        # fails to converge on the image of ker(omega) (OpenBLAS 0.3.31) and
+        # converges on its adjoint
+        src = Path(formleb.__file__).resolve().parents[1]
+        bench = Path(__file__).resolve().parents[1] / "bench"
+        threads = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")
+        env = dict(os.environ, PYTHONPATH=str(src), **threads)
+        run = subprocess.run(
+            [sys.executable, "-c", SEED_603, str(bench)], env=env, capture_output=True, text=True
+        )
+        assert run.returncode == 0, run.stderr
+        parts_gap, witness_gap = json.loads(run.stdout)
+        assert parts_gap <= 1e-9 and witness_gap <= 1e-9
+
+    def test_basis_from_the_adjoint(self, rng, monkeypatch):
+        M = crandn(rng, 3, 6, 4)
+        M[1] = crandn(rng, 6, 2) @ crandn(rng, 2, 4)  # rank 2: a zero-padded basis
+        want = _orthonormal_image(M, 1e-8)
+        svd = np.linalg.svd
+
+        def fails_on_M(A, *args, **kwargs):
+            if A.shape == M.shape:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return svd(A, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", fails_on_M)
+        got = _orthonormal_image(M, 1e-8)
+        assert got.shape == want.shape == (3, 6, 4)
+        # orthonormal columns, then zero padding, spanning the same ranges
+        rank = np.array([4, 2, 4])
+        gram = got.conj().swapaxes(-1, -2) @ got
+        assert max_abs(gram - np.eye(4) * (np.arange(4) < rank[:, None])[:, None]) <= 1e-12
+        span = [U @ U.conj().swapaxes(-1, -2) for U in (got, want)]
+        assert max_abs(span[0] - span[1]) <= 1e-12
 
 
 class TestBuildContext:
